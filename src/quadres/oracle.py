@@ -2,7 +2,9 @@
 
 These share no code with the fast paths they validate: everything here is a
 definition-level scan, capped by a fixed budget so a typo cannot hang the
-process.
+process. `pigeonhole_rep_from_root` is the paper's own construction of a
+sum of two squares from a root of X^2 = -1 (mod n), the reference for the
+Euclidean descent in `two_squares.rep_from_root`.
 """
 
 from __future__ import annotations
@@ -10,7 +12,7 @@ from __future__ import annotations
 import math
 
 from .core import ResidueSet, is_prime
-from .errors import BudgetExceeded, NotOddPrime
+from .errors import BudgetExceeded, NotARoot, NotOddPrime
 from .two_squares import TwoSquareRep
 
 SCAN_BUDGET = 10**6
@@ -52,6 +54,41 @@ def brute_two_squares(n: int) -> list[TwoSquareRep]:
                 reps.append(TwoSquareRep(a, bb, math.gcd(a, bb) == 1))
     reps.sort(key=lambda rep: (rep.a, rep.b))
     return reps
+
+
+def pigeonhole_rep_from_root(k: int, n: int) -> TwoSquareRep:
+    """The unique (x, y) with x, y > 0, gcd(x, y) = 1, x^2 + y^2 = n and
+    k*x = y (mod n), given a root k of X^2 = -1 (mod n), by Thue's lemma.
+
+    Pigeonhole over the (isqrt(n)+1)^2 grid: two pairs collide on
+    k*x - y mod n, and their difference, sign-normalized (swapping the
+    coordinates when the signs disagree), is the representation.
+    """
+    if n < 2:
+        raise ValueError("modulus must be at least 2")
+    if (k * k + 1) % n != 0:
+        raise NotARoot(f"{k}^2 != -1 (mod {n})")
+    _check_budget(n)
+    limit = math.isqrt(n)
+    seen: dict[int, tuple[int, int]] = {}
+    x0 = y0 = 0
+    for x in range(limit + 1):
+        kx = k * x % n
+        hit = None
+        for y in range(limit + 1):
+            key = (kx - y) % n
+            if key in seen:
+                hit = seen[key]
+                x0, y0 = x - hit[0], y - hit[1]
+                break
+            seen[key] = (x, y)
+        if hit is not None:
+            break
+    if (x0 > 0) == (y0 > 0):
+        a, b = abs(x0), abs(y0)
+    else:
+        a, b = abs(y0), abs(x0)
+    return TwoSquareRep(a, b, True)
 
 
 def brute_legendre(a: int, p: int) -> int:

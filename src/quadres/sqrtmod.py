@@ -8,14 +8,9 @@ from __future__ import annotations
 
 import math
 
-from .core import CrtComponent, ResidueSet, crt_combine, factorize, is_prime, mod_inverse
-from .errors import EvenArgument, NotCoprime, NotOddPrime
-from .symbols import legendre_euler
-
-
-def _check_odd_prime(p: int) -> None:
-    if p < 3 or p % 2 == 0 or not is_prime(p):
-        raise NotOddPrime(f"{p} is not an odd prime")
+from .core import CrtComponent, ResidueSet, crt_combine, factorize, mod_inverse
+from .errors import EvenArgument, NotCoprime
+from .symbols import _check_odd_prime, legendre_euler
 
 
 def _tonelli_shanks(a: int, p: int) -> int:

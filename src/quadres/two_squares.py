@@ -1,8 +1,11 @@
 """Representations n = A^2 + B^2: decidability, construction, counting, enumeration.
 
-The constructive heart is a pigeonhole search turning any root of
-X^2 = -1 (mod n) into the primitive representation it classifies; counting
-and enumeration run through the Gaussian factorization of n.
+The constructive heart turns any root of X^2 = -1 (mod n) into the
+primitive representation it classifies by Euclid's algorithm on (n, k),
+in O(log n) steps (Brillhart 1972). The paper's own construction, a
+pigeonhole search over O(n) pairs, is kept as a test reference in
+`oracle.pigeonhole_rep_from_root`. Counting and enumeration run through the
+Gaussian factorization of n.
 """
 
 from __future__ import annotations
@@ -49,34 +52,25 @@ def rep_from_root(k: int, n: int) -> TwoSquareRep:
     """The unique (x, y) with x, y > 0, gcd(x, y) = 1, x^2 + y^2 = n and
     k*x = y (mod n), given a root k of X^2 = -1 (mod n).
 
-    Pigeonhole over the (isqrt(n)+1)^2 grid: two pairs collide on
-    k*x - y mod n, and their difference, sign-normalized (swapping the
-    coordinates when the signs disagree), is the representation.
+    Brillhart's descent: run Euclid's algorithm on (n, k mod n) and stop at
+    the first remainder r with r^2 < n; then n - r^2 is a square s^2, and
+    (r, s) is ordered so that k*x = y (mod n). (J. Brillhart, "Note on
+    representing a prime as a sum of two squares", Math. Comp. 26, 1972;
+    Cohen, A Course in Computational Algebraic Number Theory, Alg. 1.5.2.)
+    `oracle.pigeonhole_rep_from_root` is the paper's proof, kept as the
+    reference this is tested against.
     """
     if n < 2:
         raise ValueError("modulus must be at least 2")
     if (k * k + 1) % n != 0:
         raise NotARoot(f"{k}^2 != -1 (mod {n})")
-    limit = math.isqrt(n)
-    seen: dict[int, tuple[int, int]] = {}
-    x0 = y0 = 0
-    for x in range(limit + 1):
-        kx = k * x % n
-        hit = None
-        for y in range(limit + 1):
-            key = (kx - y) % n
-            if key in seen:
-                hit = seen[key]
-                x0, y0 = x - hit[0], y - hit[1]
-                break
-            seen[key] = (x, y)
-        if hit is not None:
-            break
-    if (x0 > 0) == (y0 > 0):
-        a, b = abs(x0), abs(y0)
-    else:
-        a, b = abs(y0), abs(x0)
-    return TwoSquareRep(a, b, True)
+    a, b = n, k % n
+    while b * b > n:
+        a, b = b, a % b
+    r, s = b, math.isqrt(n - b * b)
+    if (k * r - s) % n == 0:
+        return TwoSquareRep(r, s, True)
+    return TwoSquareRep(s, r, True)
 
 
 @lru_cache(maxsize=1 << 12)

@@ -70,6 +70,8 @@ def test_two_squares_actions(capsys):
     assert code == 0 and out == "4\n"
     code, out, _ = run(capsys, "two-squares", "represent-prime", "13")
     assert code == 0 and out == "3 2\n"
+    code, out, _ = run(capsys, "two-squares", "represent-prime", "1200000000000012413")
+    assert code == 0 and out == "1075694267 207079318\n"
     code, out, _ = run(capsys, "two-squares", "primitive", "25")
     assert code == 0 and out.splitlines() == ["3 4", "4 3"]
     code, env, _ = run_json(capsys, "two-squares", "list", "3")

@@ -2,11 +2,15 @@ import pytest
 
 from quadres.errors import BudgetExceeded, NotOddPrime
 from quadres.oracle import (
+    SCAN_BUDGET,
     brute_legendre,
     brute_quadratic,
     brute_sqrt_mod,
     brute_two_squares,
+    pigeonhole_rep_from_root,
 )
+from quadres.sqrtmod import sqrt_mod
+from quadres.two_squares import has_primitive_representation, rep_from_root
 
 
 def test_brute_sqrt_mod():
@@ -38,6 +42,16 @@ def test_brute_legendre():
         brute_legendre(2, 9)
 
 
+def test_rep_from_root_matches_pigeonhole():
+    for n in range(2, 2001):
+        if not has_primitive_representation(n):
+            continue
+        for k in sqrt_mod(n - 1, n).residues:
+            expected = pigeonhole_rep_from_root(k, n)
+            for shifted in (k, k + n, k - n):
+                assert rep_from_root(shifted, n) == expected, (shifted, n)
+
+
 def test_budget():
     with pytest.raises(BudgetExceeded):
         brute_sqrt_mod(1, 10**6 + 1)
@@ -45,3 +59,5 @@ def test_budget():
         brute_quadratic(1, 0, -1, 10**7)
     with pytest.raises(BudgetExceeded):
         brute_two_squares(10**8)
+    with pytest.raises(BudgetExceeded):
+        pigeonhole_rep_from_root(1000, SCAN_BUDGET + 1)  # 1000^2 + 1 = 10^6 + 1

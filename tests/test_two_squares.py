@@ -1,4 +1,5 @@
 import math
+import time
 
 import pytest
 from hypothesis import given, strategies as st
@@ -6,7 +7,7 @@ from hypothesis import given, strategies as st
 from conftest import primes_upto
 from quadres.errors import NotARoot, NotPrime, WrongResidueClass
 from quadres.oracle import brute_two_squares
-from quadres.sqrtmod import sqrt_mod
+from quadres.sqrtmod import sqrt_mod, sqrt_mod_prime
 from quadres.two_squares import (
     all_representations,
     count_representations,
@@ -95,6 +96,32 @@ def test_rep_from_root_round_trip():
             assert (k * rep.a - rep.b) % n == 0
             pairs.add((rep.a, rep.b))
         assert len(pairs) == len(roots)
+
+
+# Primes p = 1 (mod 4) near 10^12, 10^18 and 10^24, below the 3.3e24 bound up
+# to which is_prime is deterministic. A search over O(p) pairs cannot finish.
+LARGE_PRIMES_1_MOD_4 = (
+    10**12 + 61,
+    1200000012361,
+    10**18 + 9,
+    1200000000000012413,
+    10**24 + 49,
+    1200000000000000000012413,
+)
+
+
+def test_represent_prime_large_magnitudes():
+    t0 = time.perf_counter()
+    for p in LARGE_PRIMES_1_MOD_4:
+        rep = represent_prime(p)
+        assert rep.a * rep.a + rep.b * rep.b == p
+        assert rep.a >= rep.b > 0
+        assert math.gcd(rep.a, rep.b) == 1
+        for k in sqrt_mod_prime(p - 1, p).residues:
+            rep = rep_from_root(k, p)
+            assert rep.a * rep.a + rep.b * rep.b == p
+            assert (k * rep.a - rep.b) % p == 0
+    assert time.perf_counter() - t0 < 1.0
 
 
 def test_count_examples():
