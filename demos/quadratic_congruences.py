@@ -44,7 +44,7 @@ fast = solve_quadratic_coprime(q1235)
 print("T^2 = 61 (mod 1235) ->", list(sqrt_mod(61, 1235)))
 print("x = ((n+1)/2) * a^(-1) * (t - b) maps each root to a solution:")
 print("solutions mod 1235:", list(fast))
-print("general path agrees:", list(solve_quadratic(q1235)) == list(fast))
+print("brute force agrees:", list(brute_quadratic(3, 7, -1, 1235)) == list(fast))
 
 banner("A square root table with the full 2-power ladder")
 print("X^2 = 61 (mod 2340), 2340 = 2^2 * 3^2 * 5 * 13")

@@ -73,15 +73,6 @@ def mod_inverse(a: int, n: int) -> int:
     return s % n
 
 
-def mod_pow(a: int, e: int, n: int) -> int:
-    """a**e mod n via binary exponentiation (e >= 0, n >= 1)."""
-    if e < 0:
-        raise ValueError("exponent must be nonnegative")
-    if n < 1:
-        raise ValueError("modulus must be positive")
-    return pow(a, e, n)
-
-
 @dataclass(frozen=True)
 class Factorization:
     """A signed prime factorization: sign * prod(p**e), primes strictly increasing."""
@@ -154,7 +145,8 @@ def crt_combine(components: list[CrtComponent] | tuple[CrtComponent, ...]) -> Re
 
     Every choice of one residue per component maps to exactly one residue
     x = sum(x_i * n_i * nbar_i) mod n, where n_i = n / m_i and nbar_i inverts
-    n_i modulo m_i.
+    n_i modulo m_i. The sums are built in one pass: each component in turn
+    extends every partial sum by each of its residues' terms.
     """
     if not components:
         raise ValueError("at least one component is required")
@@ -170,7 +162,7 @@ def crt_combine(components: list[CrtComponent] | tuple[CrtComponent, ...]) -> Re
             basis.append(0)
         else:
             basis.append(ni * mod_inverse(ni, comp.modulus))
-    residues = set()
-    for combo in itertools.product(*(comp.residues for comp in components)):
-        residues.add(sum(x * w for x, w in zip(combo, basis)) % n)
-    return ResidueSet(n, tuple(sorted(residues)))
+    sums = [0]
+    for comp, w in zip(components, basis):
+        sums = [s + x * w for s in sums for x in comp.residues]
+    return ResidueSet(n, tuple(sorted({s % n for s in sums})))

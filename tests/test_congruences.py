@@ -1,10 +1,15 @@
 import math
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import primes_upto
 from quadres.congruences import (
     QuadCongruence,
+    _prime_power_roots,
+    _solve_by_completing_square,
+    _square_roots_any,
     solve_linear,
     solve_quadratic,
     solve_quadratic_coprime,
@@ -91,7 +96,8 @@ def test_path_agreement_and_root_count():
                 for c in range(-3, 4):
                     q = QuadCongruence(a, b, c, n)
                     fast = solve_quadratic_coprime(q)
-                    assert fast.residues == solve_quadratic(q).residues, (a, b, c, n)
+                    general = _solve_by_completing_square(q)
+                    assert fast.residues == general.residues, (a, b, c, n)
                     roots = tuple(
                         t for t in range(n) if (t * t - q.discriminant) % n == 0
                     )
@@ -117,3 +123,55 @@ def test_solve_quadratic_oracle_property(a, b, c, n):
         return
     q = QuadCongruence(a, b, c, n)
     assert solve_quadratic(q).residues == brute_quadratic(a, b, c, n).residues
+
+
+def _prime_powers_below(limit):
+    for p in primes_upto(limit):
+        pe, e = p, 1
+        while pe < limit:
+            yield p, e, pe
+            pe, e = pe * p, e + 1
+
+
+def test_prime_power_roots_match_scan():
+    for p, e, pe in _prime_powers_below(1000):
+        # one scan gives the roots of every d at once
+        scan = [[] for _ in range(pe)]
+        for x in range(pe):
+            scan[x * x % pe].append(x)
+        for d in range(pe):
+            want = tuple(scan[d])
+            assert _prime_power_roots(d, p, e) == want, (d, p, e)
+            assert _square_roots_any(d, pe).residues == want, (d, p, e)
+
+
+def test_prime_power_roots_large_exponents():
+    t0 = time.perf_counter()
+    got = solve_quadratic(QuadCongruence(1, 0, 0, 3**20)).residues
+    assert got == tuple(range(0, 3**20, 3**10))
+    assert len(got) == 59_049
+    # T^2 = 2^10 * u (mod 2^40), u = 1 (mod 8): 2^5 * y, y the 4 roots mod 2^30
+    # taken mod 2^35, so 4 * 2^5 = 128 roots
+    u = 8 * 12345 + 1
+    roots = _prime_power_roots(2**10 * u, 2, 40)
+    assert len(roots) == 128 and roots == tuple(sorted(set(roots)))
+    assert all((x * x - 2**10 * u) % 2**40 == 0 for x in roots)
+    assert all(x % 2**5 == 0 for x in roots)
+    # odd valuation: 5^7 * 2 is never a square mod 5^15
+    assert _prime_power_roots(5**7 * 2, 5, 15) == ()
+    assert solve_quadratic(QuadCongruence(1, 0, -(5**7) * 2, 5**15 * 7)).residues == ()
+    assert time.perf_counter() - t0 < 1.0
+
+
+@pytest.mark.parametrize(
+    "p, e", [(3, 20), (5, 15), (2, 36)], ids=["3^20", "5^15", "2^36"]
+)
+def test_prime_power_roots_match_sympy(p, e):
+    sympy_ntheory = pytest.importorskip("sympy.ntheory")
+    for v in (0, 1, 2, 4, e, e + 3):
+        for u in (1, 7, 17, 2 * p + 1):
+            if u % p == 0:
+                continue
+            d = p**v * u
+            want = sorted(sympy_ntheory.sqrt_mod(d, p**e, all_roots=True))
+            assert list(_prime_power_roots(d, p, e)) == want, (d, p, e)

@@ -11,7 +11,6 @@ from quadres.core import (
     factorize,
     is_prime,
     mod_inverse,
-    mod_pow,
 )
 from quadres.errors import NonCoprimeModuli, NotInvertible
 
@@ -65,25 +64,6 @@ def test_mod_inverse_property(a, n):
     else:
         with pytest.raises(NotInvertible):
             mod_inverse(a, n)
-
-
-def test_mod_pow():
-    assert mod_pow(7, 0, 13) == 1
-    assert mod_pow(2, 3, 5) == 3
-    # Euler's criterion consistent with (365/1847) = 1
-    assert mod_pow(365, 923, 1847) == 1
-    with pytest.raises(ValueError):
-        mod_pow(2, -1, 5)
-    with pytest.raises(ValueError):
-        mod_pow(2, 3, 0)
-
-
-@given(st.integers(-50, 50), st.integers(0, 40), st.integers(1, 10**6))
-def test_mod_pow_matches_repeated_multiplication(a, e, n):
-    acc = 1 % n
-    for _ in range(e):
-        acc = acc * a % n
-    assert mod_pow(a, e, n) == acc
 
 
 def test_factorize_examples():
