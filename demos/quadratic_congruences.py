@@ -9,11 +9,11 @@ gcd(2a, n) = 1.
 
 from quadres import (
     QuadCongruence,
-    brute_quadratic,
     solve_quadratic,
     solve_quadratic_coprime,
     sqrt_mod,
 )
+from quadres.oracle import brute_quadratic
 
 
 def banner(text):

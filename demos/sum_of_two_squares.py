@@ -6,7 +6,6 @@ to construct the representations from square roots of -1.
 from quadres import (
     all_representations,
     count_representations,
-    count_representations_by_factorization,
     has_primitive_representation,
     is_sum_of_two_squares,
     primitive_representations,
@@ -14,6 +13,7 @@ from quadres import (
     represent_prime,
     sqrt_mod,
 )
+from quadres.oracle import count_representations_by_divisors
 
 
 def banner(text):
@@ -25,8 +25,8 @@ def banner(text):
 banner("r(n): representations counted three ways")
 print(" n   divisors  exponents  lattice points")
 for n in (1, 2, 3, 9, 25, 45, 50, 325, 1105):
-    d = count_representations(n)
-    e = count_representations_by_factorization(n)
+    d = count_representations_by_divisors(n)
+    e = count_representations(n)
     pts = [(r.a, r.b) for r in all_representations(n)]
     print(f"{n:4}  {d:7}   {e:7}    {len(pts):5}")
 

@@ -1,18 +1,14 @@
 #!/usr/bin/env python3
-"""Walkthrough: Legendre and Jacobi symbols, three independent ways.
+"""Walkthrough: Legendre and Jacobi symbols, several independent ways.
 
-Evaluates (365/1847) via Euler's criterion, Gauss's lemma and the
-factorization-free Jacobi reduction, then shows reciprocity and the
-half-split of residues at work.
+Evaluates (365/1847) via Euler's criterion and the factorization-free
+Jacobi reduction, checks both against the references in `quadres.oracle`
+(Gauss's lemma, the Jacobi symbol by definition, a brute-force search),
+then shows reciprocity and the half-split of residues at work.
 """
 
-from quadres import (
-    brute_legendre,
-    jacobi,
-    jacobi_by_definition,
-    legendre_euler,
-    legendre_gauss_lemma,
-)
+from quadres import jacobi, legendre_euler
+from quadres.oracle import brute_legendre, jacobi_by_definition, legendre_gauss_lemma
 
 
 def banner(text):

@@ -16,6 +16,7 @@ from . import gaussian as zi
 from .congruences import QuadCongruence, solve_linear, solve_quadratic
 from .errors import NumberTheoryError
 from .oracle import brute_legendre, brute_quadratic, brute_sqrt_mod, brute_two_squares
+from .oracle import jacobi_by_definition, legendre_gauss_lemma
 from .diophantine import (
     cz2_solution,
     enumerate_primitive_triples,
@@ -25,7 +26,7 @@ from .diophantine import (
     zl_solution,
 )
 from .sqrtmod import sqrt_mod
-from .symbols import jacobi, jacobi_by_definition, legendre_euler, legendre_gauss_lemma
+from .symbols import jacobi, legendre_euler
 from .two_squares import (
     all_representations,
     count_representations,

@@ -5,16 +5,6 @@ roots t of T^2 = b^2 - 4ac (mod n) map one to one onto the solutions.
 Otherwise it completes the square: it solves T^2 = b^2 - 4ac modulo 4|a|n,
 keeps the roots with t = b (mod 2|a|) and maps each back through a linear
 congruence.
-
-Square roots of an arbitrary d modulo m are found one prime power p^e at a
-time and joined by CRT. With d reduced mod p^e and written d = p^v * u,
-p not dividing u (the p-adic rule):
-
-- d = 0: the roots are the multiples of p^ceil(e/2);
-- v odd: there are no roots;
-- v even: the roots are p^(v/2) * y, with y running over the roots of
-  y^2 = u (mod p^(e-v)) taken mod p^(e-v/2). Those come from Hensel
-  lifting, or from the 2^e ladder when p = 2.
 """
 
 from __future__ import annotations
@@ -22,9 +12,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import CrtComponent, ResidueSet, crt_combine, factorize, mod_inverse
+from .core import ResidueSet, mod_inverse
 from .errors import NotCoprime, NotQuadratic
-from .sqrtmod import lift_odd_prime_power, sqrt_mod_2e
+from .sqrtmod import _square_roots_any
 
 
 @dataclass(frozen=True)
@@ -67,44 +57,6 @@ def solve_linear(a: int, b: int, n: int) -> ResidueSet:
     else:
         x0 = (b // g) * mod_inverse(a // g, step) % step
     return ResidueSet(n, tuple(x0 + k * step for k in range(g)))
-
-
-def _prime_power_roots(d: int, p: int, e: int) -> tuple[int, ...]:
-    """All roots of T^2 = d (mod p^e), sorted, by the p-adic rule."""
-    pe = p**e
-    d %= pe
-    if d == 0:
-        step = p ** ((e + 1) // 2)
-        return tuple(step * j for j in range(p ** (e // 2)))
-    u, v = d, 0
-    while u % p == 0:
-        u //= p
-        v += 1
-    if v % 2:
-        return ()
-    half = v // 2
-    k = e - v
-    base = sqrt_mod_2e(u, k) if p == 2 else lift_odd_prime_power(u, p, k)
-    # y mod p^(e-half) is y mod p^k plus j*p^k; scaling by p^half keeps it below p^e
-    scale, step = p**half, p**k
-    return tuple(scale * (j * step + y) for j in range(scale) for y in base.residues)
-
-
-def _square_roots_any(d: int, m: int) -> ResidueSet:
-    """All roots of T^2 = d (mod m) with no coprimality assumption.
-
-    Each prime power p^e of m gets its roots from the p-adic rule (see the
-    module docstring); CRT joins them.
-    """
-    if m == 1:
-        return ResidueSet(1, (0,))
-    parts = []
-    for p, e in factorize(m).factors:
-        roots = _prime_power_roots(d, p, e)
-        if not roots:
-            return ResidueSet(m, ())
-        parts.append(CrtComponent(p**e, roots))
-    return crt_combine(parts)
 
 
 def solve_quadratic(q: QuadCongruence) -> ResidueSet:

@@ -13,13 +13,15 @@ from functools import lru_cache
 
 from .errors import NonCoprimeModuli, NotInvertible
 
-# Witnesses making Miller-Rabin deterministic for n < 3.3e24 (beyond 2^64).
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# Miller-Rabin on the first 13 primes is deterministic below psi_13 (OEIS
+# A014233; Sorenson and Webster, Math. Comp. 86, 2017); on 12, below 3.19e23.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 
 @lru_cache(maxsize=1 << 16)
 def is_prime(n: int) -> bool:
-    """Deterministic primality test (Miller-Rabin with fixed witnesses)."""
+    """Miller-Rabin on fixed witnesses: deterministic below
+    psi_13 = 3317044064679887385961981, a strong probable-prime test above."""
     if n < 2:
         return False
     for p in _MR_BASES:

@@ -141,15 +141,6 @@ def vn_poly(n: int, x: int, y: int) -> int:
     )
 
 
-def _rn_poly(n: int, x: int, y: int) -> int:
-    # companion over odd j: (x+y)^(2n+1) + (x-y)^(2n+1)
-    #                       = 2x*vn_poly(n,x,y) + 4xy*_rn_poly(n,x,y)
-    return sum(
-        math.comb(2 * n + 1, 2 * j) * x ** (2 * (n - j)) * y ** (2 * j - 1)
-        for j in range(1, n + 1, 2)
-    )
-
-
 @dataclass(frozen=True)
 class PythQuadruple:
     """A solution of X^2 + Y^2 + Z^2 = W^2 with its generating parameters.

@@ -1,18 +1,21 @@
-"""Deliberately naive brute-force references used by tests and `verify`.
+"""Reference routes used by tests and `verify`.
 
-These share no code with the fast paths they validate: everything here is a
-definition-level scan, capped by a fixed budget so a typo cannot hang the
-process. `pigeonhole_rep_from_root` is the paper's own construction of a
-sum of two squares from a root of X^2 = -1 (mod n), the reference for the
-Euclidean descent in `two_squares.rep_from_root`.
+Each shares no algorithm with the production route it checks: the `brute_*`
+definition-level scans; Gauss's lemma against Euler's criterion; the Jacobi
+symbol by definition (it does call `factorize` and `legendre_euler`) against
+reciprocity; r(n) by divisor sums against the exponent formula; and the
+paper's pigeonhole construction against the Euclidean descent in
+`two_squares.rep_from_root`. Every scan that grows with n or p is capped by
+`SCAN_BUDGET`, so a typo cannot hang the process.
 """
 
 from __future__ import annotations
 
 import math
 
-from .core import ResidueSet, is_prime
-from .errors import BudgetExceeded, NotARoot, NotOddPrime
+from .core import ResidueSet, factorize
+from .errors import BudgetExceeded, EvenModulus, NotARoot, NotCoprime
+from .symbols import _check_odd_prime, legendre_euler
 from .two_squares import TwoSquareRep
 
 SCAN_BUDGET = 10**6
@@ -93,8 +96,7 @@ def pigeonhole_rep_from_root(k: int, n: int) -> TwoSquareRep:
 
 def brute_legendre(a: int, p: int) -> int:
     """Legendre symbol by searching for a square root of a modulo p."""
-    if p < 3 or p % 2 == 0 or not is_prime(p):
-        raise NotOddPrime(f"{p} is not an odd prime")
+    _check_odd_prime(p)
     _check_budget(p)
     a %= p
     if a == 0:
@@ -103,3 +105,54 @@ def brute_legendre(a: int, p: int) -> int:
         if x * x % p == a:
             return 1
     return -1
+
+
+def legendre_gauss_lemma(a: int, p: int) -> int:
+    """Legendre symbol (a/p) by Gauss's lemma.
+
+    Counts how many of a, 2a, ..., ((p-1)/2)a have minimal residue in
+    (-p/2, 0); the symbol is (-1) to that count.
+    """
+    _check_odd_prime(p)
+    _check_budget(p)
+    if math.gcd(a, p) != 1:
+        raise NotCoprime(f"gcd({a}, {p}) != 1")
+    a %= p
+    half = (p - 1) // 2
+    s = sum(1 for k in range(1, half + 1) if k * a % p > half)
+    return -1 if s % 2 else 1
+
+
+def jacobi_by_definition(a: int, n: int) -> int:
+    """Jacobi symbol as the product of legendre_euler over the factorization of n.
+
+    Independent of jacobi(); used as its cross-check oracle.
+    """
+    if n % 2 == 0:
+        raise EvenModulus(f"modulus {n} must be odd and nonzero")
+    n = abs(n)
+    if n == 1:
+        return 1
+    result = 1
+    for p, e in factorize(n).factors:
+        s = legendre_euler(a, p)
+        if s == 0:
+            return 0
+        if s == -1 and e % 2 == 1:
+            result = -result
+    return result
+
+
+def count_representations_by_divisors(n: int) -> int:
+    """r(n): ordered signed pairs with A^2 + B^2 = n, as 4*(d1 - d3) over
+    the divisors of n congruent to 1 and 3 mod 4; r(0) = 1."""
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    if n == 0:
+        return 1
+    divisors = [1]
+    for p, e in factorize(n).factors:
+        divisors = [d * p**k for d in divisors for k in range(e + 1)]
+    d1 = sum(1 for d in divisors if d % 4 == 1)
+    d3 = sum(1 for d in divisors if d % 4 == 3)
+    return 4 * (d1 - d3)

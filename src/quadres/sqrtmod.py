@@ -1,7 +1,20 @@
-"""Complete solution of X^2 = a (mod m) for gcd(a, m) = 1.
+"""Square roots modulo n: X^2 = a (mod n).
 
 Base case modulo an odd prime, Hensel lifting to odd prime powers, the
 separate ladder for 2, 4 and 2^e, and CRT assembly of the full solution set.
+
+One root finder serves every caller. It takes n one prime power p^e at a
+time and joins the roots by CRT. With a reduced mod p^e and written
+a = p^v * u, p not dividing u (the p-adic rule):
+
+- a = 0: the roots are the multiples of p^ceil(e/2);
+- v odd: there are no roots;
+- v even: the roots are p^(v/2) * y, with y running over the roots of
+  y^2 = u (mod p^(e-v)) taken mod p^(e-v/2). Those come from Hensel
+  lifting, or from the 2^e ladder when p = 2.
+
+`sqrt_mod` asks for gcd(a, n) = 1, so v = 0 at every prime; the quadratic
+solvers in `congruences` use the general case.
 """
 
 from __future__ import annotations
@@ -117,6 +130,46 @@ def sqrt_mod_2e(a: int, e: int) -> ResidueSet:
     return ResidueSet(m, tuple(sorted(sols)))
 
 
+def _prime_power_roots(d: int, p: int, e: int) -> tuple[int, ...]:
+    """All roots of T^2 = d (mod p^e), sorted, by the p-adic rule."""
+    pe = p**e
+    d %= pe
+    if d == 0:
+        step = p ** ((e + 1) // 2)
+        return tuple(step * j for j in range(p ** (e // 2)))
+    u, v = d, 0
+    while u % p == 0:
+        u //= p
+        v += 1
+    if v % 2:
+        return ()
+    half = v // 2
+    k = e - v
+    base = sqrt_mod_2e(u, k) if p == 2 else lift_odd_prime_power(u, p, k)
+    if v == 0:
+        return base.residues
+    # y mod p^(e-half) is y mod p^k plus j*p^k; scaling by p^half keeps it below p^e
+    scale, step = p**half, p**k
+    return tuple(scale * (j * step + y) for j in range(scale) for y in base.residues)
+
+
+def _square_roots_any(d: int, m: int) -> ResidueSet:
+    """All roots of T^2 = d (mod m) with no coprimality assumption.
+
+    Each prime power p^e of m gets its roots from the p-adic rule (see the
+    module docstring); CRT joins them.
+    """
+    if m == 1:
+        return ResidueSet(1, (0,))
+    parts = []
+    for p, e in factorize(m).factors:
+        roots = _prime_power_roots(d, p, e)
+        if not roots:
+            return ResidueSet(m, ())
+        parts.append(CrtComponent(p**e, roots))
+    return crt_combine(parts)
+
+
 def sqrt_mod(a: int, n: int) -> ResidueSet:
     """All solutions of X^2 = a (mod n), gcd(a, n) = 1, via factor + lift + CRT.
 
@@ -128,15 +181,7 @@ def sqrt_mod(a: int, n: int) -> ResidueSet:
         raise ValueError("modulus must be positive")
     if math.gcd(a, n) != 1:
         raise NotCoprime(f"gcd({a}, {n}) != 1")
-    if n == 1:
-        return ResidueSet(1, (0,))
-    parts = []
-    for p, e in factorize(n).factors:
-        part = sqrt_mod_2e(a, e) if p == 2 else lift_odd_prime_power(a, p, e)
-        if not part.residues:
-            return ResidueSet(n, ())
-        parts.append(CrtComponent(part.modulus, part.residues))
-    return crt_combine(parts)
+    return _square_roots_any(a, n)
 
 
 def is_quadratic_residue(a: int, n: int) -> bool:

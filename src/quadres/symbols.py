@@ -1,17 +1,15 @@
-"""Legendre and Jacobi symbols.
+"""Legendre and Jacobi symbols, one route each.
 
-The Legendre symbol is computed two independent ways (Euler's criterion and
-Gauss's lemma); the Jacobi symbol is computed both without factoring, via
-quadratic reciprocity, and directly from the definition as a product of
-Legendre symbols. Results are plain ints in {-1, 0, +1}.
+The Legendre symbol comes from Euler's criterion and the Jacobi symbol from
+quadratic reciprocity, without factoring. Results are plain ints in
+{-1, 0, +1}. The paper's other routes, Gauss's lemma and the Jacobi symbol
+by definition, are test references in `oracle`.
 """
 
 from __future__ import annotations
 
-import math
-
-from .core import factorize, is_prime
-from .errors import EvenModulus, NotCoprime, NotOddPrime
+from .core import is_prime
+from .errors import EvenModulus, NotOddPrime
 
 
 def _check_odd_prime(p: int) -> None:
@@ -24,21 +22,6 @@ def legendre_euler(a: int, p: int) -> int:
     _check_odd_prime(p)
     r = pow(a % p, (p - 1) // 2, p)
     return -1 if r == p - 1 else r
-
-
-def legendre_gauss_lemma(a: int, p: int) -> int:
-    """Legendre symbol (a/p) by Gauss's lemma.
-
-    Counts how many of a, 2a, ..., ((p-1)/2)a have minimal residue in
-    (-p/2, 0); the symbol is (-1) to that count.
-    """
-    _check_odd_prime(p)
-    if math.gcd(a, p) != 1:
-        raise NotCoprime(f"gcd({a}, {p}) != 1")
-    a %= p
-    half = (p - 1) // 2
-    s = sum(1 for k in range(1, half + 1) if k * a % p > half)
-    return -1 if s % 2 else 1
 
 
 def jacobi(a: int, n: int) -> int:
@@ -64,23 +47,3 @@ def jacobi(a: int, n: int) -> int:
             result = -result
         a %= n
     return result if n == 1 else 0
-
-
-def jacobi_by_definition(a: int, n: int) -> int:
-    """Jacobi symbol as the product of legendre_euler over the factorization of n.
-
-    Independent of jacobi(); used as its cross-check oracle.
-    """
-    if n % 2 == 0:
-        raise EvenModulus(f"modulus {n} must be odd and nonzero")
-    n = abs(n)
-    if n == 1:
-        return 1
-    result = 1
-    for p, e in factorize(n).factors:
-        s = legendre_euler(a, p)
-        if s == 0:
-            return 0
-        if s == -1 and e % 2 == 1:
-            result = -result
-    return result

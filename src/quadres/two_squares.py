@@ -4,8 +4,8 @@ The constructive heart turns any root of X^2 = -1 (mod n) into the
 primitive representation it classifies by Euclid's algorithm on (n, k),
 in O(log n) steps (Brillhart 1972). The paper's own construction, a
 pigeonhole search over O(n) pairs, is kept as a test reference in
-`oracle.pigeonhole_rep_from_root`. Counting and enumeration run through the
-Gaussian factorization of n.
+`oracle.pigeonhole_rep_from_root`. r(n) is read off the exponents of n, and
+enumeration runs through the Gaussian factorization of n.
 """
 
 from __future__ import annotations
@@ -107,25 +107,12 @@ def _split_factorization(n: int):
 
 
 def count_representations(n: int) -> int:
-    """r(n): ordered signed pairs with A^2 + B^2 = n, as 4*(d1 - d3) over
-    the divisors of n congruent to 1 and 3 mod 4; r(0) = 1."""
+    """r(n): ordered signed pairs with A^2 + B^2 = n, as 4 * prod(1 + e) over
+    p = 1 (mod 4), zero when any q = 3 (mod 4) has odd exponent; r(0) = 1."""
     if n < 0:
         raise ValueError("n must be nonnegative")
     if n == 0:
         return 1
-    divisors = [1]
-    for p, e in factorize(n).factors:
-        divisors = [d * p**k for d in divisors for k in range(e + 1)]
-    d1 = sum(1 for d in divisors if d % 4 == 1)
-    d3 = sum(1 for d in divisors if d % 4 == 3)
-    return 4 * (d1 - d3)
-
-
-def count_representations_by_factorization(n: int) -> int:
-    """r(n) from prime exponents: 4 * prod(1 + e) over p = 1 (mod 4), zero
-    when any q = 3 (mod 4) has odd exponent. Cross-check for count_representations."""
-    if n < 1:
-        raise ValueError("n must be positive")
     r = 4
     for p, e in factorize(n).factors:
         if p % 4 == 1:

@@ -14,11 +14,10 @@ b = 2 ((3+2i)^3 = -9+46i, V = -3, gcd(3, -3) = 3) against that claim.
 import math
 import time
 
-from conftest import odd_primes_upto, primes_upto
+from conftest import odd_primes_upto, primes_upto, rn_poly as _rn_poly
 from quadres.congruences import QuadCongruence, solve_quadratic, solve_quadratic_coprime
 from quadres.core import factorize
 from quadres.diophantine import (
-    _rn_poly,
     cz2_solution,
     enumerate_primitive_triples,
     enumerate_quadruples,
@@ -39,17 +38,14 @@ from quadres.oracle import (
     brute_quadratic,
     brute_sqrt_mod,
     brute_two_squares,
-)
-from quadres.sqrtmod import sqrt_mod
-from quadres.symbols import (
-    jacobi,
+    count_representations_by_divisors,
     jacobi_by_definition,
-    legendre_euler,
     legendre_gauss_lemma,
 )
+from quadres.sqrtmod import sqrt_mod
+from quadres.symbols import jacobi, legendre_euler
 from quadres.two_squares import (
     count_representations,
-    count_representations_by_factorization,
     has_primitive_representation,
     primitive_representations,
     rep_from_root,
@@ -217,8 +213,8 @@ def test_criterion_08_representation_count_identity():
     t0 = time.perf_counter()
     failures = []
     for n in range(1, 10**4 + 1):
-        by_divisors = count_representations(n)
-        by_exponents = count_representations_by_factorization(n)
+        by_divisors = count_representations_by_divisors(n)
+        by_exponents = count_representations(n)
         lattice = len(brute_two_squares(n))
         if not (by_divisors == by_exponents == lattice):
             failures.append((n, by_divisors, by_exponents, lattice))

@@ -43,6 +43,9 @@ def test_legendre_methods(capsys):
     assert code == 0 and out == "1\n"
     code, out, _ = run(capsys, "legendre", "-1", "7", "--method", "gauss-lemma")
     assert code == 0 and out == "-1\n"
+    # Gauss's lemma is an O(p) scan, refused above the oracle budget
+    code, out, err = run(capsys, "legendre", "2", "1000003", "--method", "gauss-lemma")
+    assert code == 1 and out == "" and "budget" in err
 
 
 def test_sqrtmod_plain_and_empty(capsys):

@@ -7,15 +7,14 @@ from hypothesis import given, settings, strategies as st
 from conftest import primes_upto
 from quadres.congruences import (
     QuadCongruence,
-    _prime_power_roots,
     _solve_by_completing_square,
-    _square_roots_any,
     solve_linear,
     solve_quadratic,
     solve_quadratic_coprime,
 )
 from quadres.errors import NotCoprime, NotQuadratic
 from quadres.oracle import brute_quadratic
+from quadres.sqrtmod import _prime_power_roots, _square_roots_any
 
 
 def test_solve_linear_examples():

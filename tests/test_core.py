@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 from hypothesis import given, strategies as st
@@ -12,7 +13,14 @@ from quadres.core import (
     is_prime,
     mod_inverse,
 )
-from quadres.errors import NonCoprimeModuli, NotInvertible
+from quadres.errors import NonCoprimeModuli, NotInvertible, NotOddPrime, NotPrime
+from quadres.symbols import legendre_euler
+from quadres.two_squares import represent_prime
+
+# The smallest strong pseudoprimes to the first 12 and 13 prime bases
+# (OEIS A014233). Never factorize PSI_12: trial division to 4e11 does not finish.
+PSI_12 = 318665857834031151167461
+PSI_13 = 3317044064679887385961981
 
 
 def test_ext_gcd_degenerate():
@@ -115,6 +123,24 @@ def test_is_prime_strong_pseudoprimes():
     # Carmichael numbers
     for n in (561, 1105, 1729, 41041, 825265):
         assert not is_prime(n)
+
+
+def test_psi12_is_composite():
+    assert 399165290221 * 798330580441 == PSI_12
+    assert is_prime(PSI_12) is False
+    with pytest.raises(NotOddPrime):
+        legendre_euler(2, PSI_12)
+    with pytest.raises(NotPrime):
+        represent_prime(PSI_12)
+
+
+def test_is_prime_matches_sympy_below_psi13():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(20240613)
+    for _ in range(5000):
+        n = rng.randrange(10**20, 3 * 10**24) | 1
+        assert n < PSI_13
+        assert is_prime(n) == sympy.isprime(n), n
 
 
 def test_crt_combine_example_mod_180():

@@ -2,8 +2,8 @@ import math
 
 import pytest
 
+from conftest import rn_poly as _rn_poly
 from quadres.diophantine import (
-    _rn_poly,
     cz2_solution,
     cz2_solvable,
     enumerate_primitive_triples,

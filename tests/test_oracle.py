@@ -7,6 +7,7 @@ from quadres.oracle import (
     brute_quadratic,
     brute_sqrt_mod,
     brute_two_squares,
+    legendre_gauss_lemma,
     pigeonhole_rep_from_root,
 )
 from quadres.sqrtmod import sqrt_mod
@@ -61,3 +62,5 @@ def test_budget():
         brute_two_squares(10**8)
     with pytest.raises(BudgetExceeded):
         pigeonhole_rep_from_root(1000, SCAN_BUDGET + 1)  # 1000^2 + 1 = 10^6 + 1
+    with pytest.raises(BudgetExceeded):
+        legendre_gauss_lemma(2, 1000003)

@@ -5,12 +5,8 @@ from hypothesis import given, strategies as st
 
 from conftest import odd_primes_upto
 from quadres.errors import EvenModulus, NotCoprime, NotOddPrime
-from quadres.symbols import (
-    jacobi,
-    jacobi_by_definition,
-    legendre_euler,
-    legendre_gauss_lemma,
-)
+from quadres.oracle import jacobi_by_definition, legendre_gauss_lemma
+from quadres.symbols import jacobi, legendre_euler
 
 
 def test_legendre_euler_examples():

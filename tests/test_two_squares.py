@@ -6,12 +6,11 @@ from hypothesis import given, strategies as st
 
 from conftest import primes_upto
 from quadres.errors import NotARoot, NotPrime, WrongResidueClass
-from quadres.oracle import brute_two_squares
+from quadres.oracle import brute_two_squares, count_representations_by_divisors
 from quadres.sqrtmod import sqrt_mod, sqrt_mod_prime
 from quadres.two_squares import (
     all_representations,
     count_representations,
-    count_representations_by_factorization,
     has_primitive_representation,
     is_sum_of_two_squares,
     primitive_representations,
@@ -129,18 +128,30 @@ def test_count_examples():
     assert count_representations(1) == 4
     assert count_representations(3) == 0
     assert count_representations(25) == 12
-    assert count_representations_by_factorization(9) == 4
-    assert count_representations_by_factorization(6) == 0
+    assert count_representations(9) == 4
+    assert count_representations(6) == 0
+    with pytest.raises(ValueError):
+        count_representations(-1)
     for p in primes_upto(1000):
         if p % 4 == 1:
-            assert count_representations_by_factorization(p) == 8
+            assert count_representations(p) == 8
+            assert count_representations_by_divisors(p) == 8
+    split = [p for p in primes_upto(1000) if p % 4 == 1]
+    # omega = 16: the divisor sum walks 2^16 divisors
+    n16 = math.prod(split[:16])
+    assert count_representations(n16) == count_representations_by_divisors(n16) == 4 * 2**16
+    # omega = 22: 4 * 2^22 from the exponents alone, no divisor walk
+    n22 = math.prod(split[:22])
+    t0 = time.perf_counter()
+    assert count_representations(n22) == 4 * 2**22
+    assert time.perf_counter() - t0 < 1.0
 
 
 def test_count_triple_agreement():
     for n in range(1, 1500):
         lattice = len(brute_two_squares(n))
         assert count_representations(n) == lattice, n
-        assert count_representations_by_factorization(n) == lattice, n
+        assert count_representations_by_divisors(n) == lattice, n
 
 
 def test_all_representations_examples():
