@@ -1,10 +1,8 @@
 """Solvers for linear and quadratic congruences a*X^2 + b*X + c = 0 (mod n).
 
-`solve_quadratic` picks its route from gcd(2a, n) alone. When it is 1, the
-roots t of T^2 = b^2 - 4ac (mod n) map one to one onto the solutions.
-Otherwise it completes the square: it solves T^2 = b^2 - 4ac modulo 4|a|n,
-keeps the roots with t = b (mod 2|a|) and maps each back through a linear
-congruence.
+`solve_quadratic` has one route for every a, b, c and n: prime power by
+prime power, through the root finder in `sqrtmod`, joined by CRT. Its cost
+follows the factorization of n and the number of roots, not the size of a.
 """
 
 from __future__ import annotations
@@ -14,7 +12,7 @@ from dataclasses import dataclass
 
 from .core import ResidueSet, mod_inverse
 from .errors import NotCoprime, NotQuadratic
-from .sqrtmod import _square_roots_any
+from .sqrtmod import _quadratic_roots
 
 
 @dataclass(frozen=True)
@@ -60,46 +58,13 @@ def solve_linear(a: int, b: int, n: int) -> ResidueSet:
 
 
 def solve_quadratic(q: QuadCongruence) -> ResidueSet:
-    """Complete solution set of a*X^2 + b*X + c = 0 (mod n).
-
-    Takes the coprime route (`solve_quadratic_coprime`, modulo n) when
-    gcd(2a, n) = 1 and completes the square modulo 4|a|n otherwise.
-    """
-    if math.gcd(2 * q.a, q.n) == 1:
-        return solve_quadratic_coprime(q)
-    return _solve_by_completing_square(q)
-
-
-def _solve_by_completing_square(q: QuadCongruence) -> ResidueSet:
-    """Solution set for any gcd(2a, n).
-
-    Completing the square gives (2aX + b)^2 = b^2 - 4ac (mod 4|a|n); each
-    root t with 2|a| dividing t - b yields the solutions of the linear
-    congruence 2aX = t - b (mod 4|a|n), reduced mod n.
-    """
-    a, b, n = q.a, q.b, q.n
-    m = 4 * abs(a) * n
-    two_a = 2 * abs(a)
-    solutions = set()
-    for t in _square_roots_any(q.discriminant, m).residues:
-        if (t - b) % two_a != 0:
-            continue
-        for x in solve_linear(2 * a, t - b, m).residues:
-            solutions.add(x % n)
-    return ResidueSet(n, tuple(sorted(solutions)))
+    """Complete solution set of a*X^2 + b*X + c = 0 (mod n), for any gcd(2a, n),
+    prime power by prime power (see `sqrtmod`)."""
+    return _quadratic_roots(q.a, q.b, q.c, q.n)
 
 
 def solve_quadratic_coprime(q: QuadCongruence) -> ResidueSet:
-    """Solution set when gcd(2a, n) = 1, working modulo n throughout.
-
-    Roots t of T^2 = b^2 - 4ac (mod n) biject with solutions via
-    x = ((n+1)/2) * a^(-1) * (t - b) mod n.
-    """
-    a, b, n = q.a, q.b, q.n
-    if math.gcd(2 * a, n) != 1:
-        raise NotCoprime(f"gcd(2*{a}, {n}) != 1")
-    a_inv = mod_inverse(a, n)
-    half = (n + 1) // 2
-    roots = _square_roots_any(q.discriminant, n).residues
-    solutions = sorted(half * a_inv * (t - b) % n for t in roots)
-    return ResidueSet(n, tuple(solutions))
+    """`solve_quadratic` for the case gcd(2a, n) = 1, which it checks first."""
+    if math.gcd(2 * q.a, q.n) != 1:
+        raise NotCoprime(f"gcd(2*{q.a}, {q.n}) != 1")
+    return solve_quadratic(q)

@@ -134,16 +134,9 @@ class ResidueSet:
         return x % self.modulus in self.residues
 
 
-@dataclass(frozen=True)
-class CrtComponent:
-    """Admissible residues modulo one prime power of a CRT system."""
-
-    modulus: int
-    residues: tuple[int, ...]
-
-
-def crt_combine(components: list[CrtComponent] | tuple[CrtComponent, ...]) -> ResidueSet:
-    """Combine per-modulus residue lists into all residues mod the product.
+def crt_combine(components: list[ResidueSet] | tuple[ResidueSet, ...]) -> ResidueSet:
+    """Combine residue sets modulo pairwise coprime moduli into all residues
+    mod the product.
 
     Every choice of one residue per component maps to exactly one residue
     x = sum(x_i * n_i * nbar_i) mod n, where n_i = n / m_i and nbar_i inverts

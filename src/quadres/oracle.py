@@ -3,18 +3,23 @@
 Each shares no algorithm with the production route it checks: the `brute_*`
 definition-level scans; Gauss's lemma against Euler's criterion; the Jacobi
 symbol by definition (it does call `factorize` and `legendre_euler`) against
-reciprocity; r(n) by divisor sums against the exponent formula; and the
+reciprocity; r(n) by divisor sums against the exponent formula; the
 paper's pigeonhole construction against the Euclidean descent in
-`two_squares.rep_from_root`. Every scan that grows with n or p is capped by
-`SCAN_BUDGET`, so a typo cannot hang the process.
+`two_squares.rep_from_root`; and the paper's completing-square solver, which
+works modulo 4|a|n and maps roots back through linear congruences, against
+the prime-power route of `congruences.solve_quadratic`. Every scan that
+grows with n, p or |a| is capped by `SCAN_BUDGET`, so a typo cannot hang
+the process.
 """
 
 from __future__ import annotations
 
 import math
 
+from .congruences import QuadCongruence, solve_linear
 from .core import ResidueSet, factorize
 from .errors import BudgetExceeded, EvenModulus, NotARoot, NotCoprime
+from .sqrtmod import _quadratic_roots
 from .symbols import _check_odd_prime, legendre_euler
 from .two_squares import TwoSquareRep
 
@@ -40,6 +45,27 @@ def brute_quadratic(a: int, b: int, c: int, n: int) -> ResidueSet:
         raise ValueError("modulus must be positive")
     _check_budget(n)
     return ResidueSet(n, tuple(x for x in range(n) if (a * x * x + b * x + c) % n == 0))
+
+
+def completing_square_quadratic(q: QuadCongruence) -> ResidueSet:
+    """Solution set of a*X^2 + b*X + c = 0 (mod n) for any gcd(2a, n).
+
+    Completing the square gives (2aX + b)^2 = b^2 - 4ac (mod 4|a|n); each
+    root t with 2|a| dividing t - b yields the solutions of the linear
+    congruence 2aX = t - b (mod 4|a|n), reduced mod n. The work grows with
+    |a|, which the budget caps.
+    """
+    a, b, n = q.a, q.b, q.n
+    _check_budget(abs(a))
+    m = 4 * abs(a) * n
+    two_a = 2 * abs(a)
+    solutions = set()
+    for t in _quadratic_roots(1, 0, -q.discriminant, m).residues:
+        if (t - b) % two_a != 0:
+            continue
+        for x in solve_linear(2 * a, t - b, m).residues:
+            solutions.add(x % n)
+    return ResidueSet(n, tuple(sorted(solutions)))
 
 
 def brute_two_squares(n: int) -> list[TwoSquareRep]:

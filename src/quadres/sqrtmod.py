@@ -3,25 +3,30 @@
 Base case modulo an odd prime, Hensel lifting to odd prime powers, the
 separate ladder for 2, 4 and 2^e, and CRT assembly of the full solution set.
 
-One root finder serves every caller. It takes n one prime power p^e at a
-time and joins the roots by CRT. With a reduced mod p^e and written
-a = p^v * u, p not dividing u (the p-adic rule):
+One root finder serves every caller: `_quadratic_roots` solves
+a*X^2 + b*X + c = 0 (mod n) one prime power p^e at a time and joins the
+parts by CRT; `sqrt_mod(a, n)` is the case (1, 0, -a). Modulo p^e:
 
-- a = 0: the roots are the multiples of p^ceil(e/2);
-- v odd: there are no roots;
-- v even: the roots are p^(v/2) * y, with y running over the roots of
-  y^2 = u (mod p^(e-v)) taken mod p^(e-v/2). Those come from Hensel
-  lifting, or from the 2^e ladder when p = 2.
+1. Divide out the p-content p^m of (a, b, c), m <= e, and let k = e - m.
+   Each root r mod p^k stands for the p^m roots r + j*p^k mod p^e.
+2. If p does not divide a, and p is odd or b even, complete the square:
+   with 2h = b (mod p^k), a*f(X) = (aX + h)^2 - (h^2 - ac), so
+   X = (t - h)/a for the roots t of T^2 = h^2 - ac (mod p^k).
+3. Otherwise f' = b (mod p) at every X. If p | b there are no roots (p | a,
+   so p does not divide c); else each root mod p (-c/b when p | a; 0 and 1
+   when p = 2, a is odd and c even) lifts uniquely by Newton's iteration.
 
-`sqrt_mod` asks for gcd(a, n) = 1, so v = 0 at every prime; the quadratic
-solvers in `congruences` use the general case.
+Case 2 takes T^2 = d (mod p^k) by the p-adic rule. With d = p^v * u mod p^k,
+p not dividing u: d = 0 gives the multiples of p^ceil(k/2); odd v gives no
+roots; even v gives p^(v/2) * y, y running over the roots of y^2 = u
+(mod p^(k-v)) taken mod p^(k-v/2), from Hensel lifting or the 2^e ladder.
 """
 
 from __future__ import annotations
 
 import math
 
-from .core import CrtComponent, ResidueSet, crt_combine, factorize, mod_inverse
+from .core import ResidueSet, crt_combine, factorize, mod_inverse
 from .errors import EvenArgument, NotCoprime
 from .symbols import _check_odd_prime, legendre_euler
 
@@ -153,20 +158,50 @@ def _prime_power_roots(d: int, p: int, e: int) -> tuple[int, ...]:
     return tuple(scale * (j * step + y) for j in range(scale) for y in base.residues)
 
 
-def _square_roots_any(d: int, m: int) -> ResidueSet:
-    """All roots of T^2 = d (mod m) with no coprimality assumption.
+def _quadratic_prime_power_roots(a: int, b: int, c: int, p: int, e: int) -> tuple[int, ...]:
+    """All roots of a*X^2 + b*X + c = 0 (mod p^e), sorted; see the module docstring."""
+    pe = p**e
+    a, b, c = a % pe, b % pe, c % pe
+    m = 0
+    while m < e and a % p == 0 and b % p == 0 and c % p == 0:
+        a, b, c = a // p, b // p, c // p
+        m += 1
+    k = e - m
+    pk = p**k
+    if k == 0:
+        roots = (0,)
+    elif a % p and (p != 2 or b % 2 == 0):  # case 2: 2h = b (mod p^k)
+        h = b // 2 if b % 2 == 0 else b * (pk + 1) // 2 % pk
+        roots = _prime_power_roots(h * h - a * c, p, k)
+        if a != 1 or h != 0:
+            a_inv = mod_inverse(a, pk)
+            roots = tuple(sorted((t - h) * a_inv % pk for t in roots))
+    elif b % p == 0:  # case 3, p | a and p | b
+        return ()
+    else:  # case 3, f' a unit mod p
+        if a % p == 0:
+            base = (-c * mod_inverse(b, p) % p,)
+        else:
+            base = (0, 1) if c % 2 == 0 else ()
+        lifted = []
+        for r in base:
+            while (fr := (a * r + b) * r + c) % pk:
+                r = (r - fr * mod_inverse(2 * a * r + b, pk)) % pk
+            lifted.append(r)
+        roots = tuple(sorted(lifted))
+    return roots if m == 0 else tuple(r + j * pk for j in range(p**m) for r in roots)
 
-    Each prime power p^e of m gets its roots from the p-adic rule (see the
-    module docstring); CRT joins them.
-    """
-    if m == 1:
+
+def _quadratic_roots(a: int, b: int, c: int, n: int) -> ResidueSet:
+    """All roots of a*X^2 + b*X + c = 0 (mod n), n >= 1; see the module docstring."""
+    if n == 1:
         return ResidueSet(1, (0,))
     parts = []
-    for p, e in factorize(m).factors:
-        roots = _prime_power_roots(d, p, e)
+    for p, e in factorize(n).factors:
+        roots = _quadratic_prime_power_roots(a, b, c, p, e)
         if not roots:
-            return ResidueSet(m, ())
-        parts.append(CrtComponent(p**e, roots))
+            return ResidueSet(n, ())
+        parts.append(ResidueSet(p**e, roots))
     return crt_combine(parts)
 
 
@@ -181,7 +216,7 @@ def sqrt_mod(a: int, n: int) -> ResidueSet:
         raise ValueError("modulus must be positive")
     if math.gcd(a, n) != 1:
         raise NotCoprime(f"gcd({a}, {n}) != 1")
-    return _square_roots_any(a, n)
+    return _quadratic_roots(1, 0, -a, n)
 
 
 def is_quadratic_residue(a: int, n: int) -> bool:

@@ -61,6 +61,8 @@ def test_solve_quadratic(capsys):
     assert code == 0 and out.split() == ["4", "7"]
     code, env, _ = run_json(capsys, "solve-quadratic", "3", "7", "-1", "--mod", "195")
     assert env["result"]["residues"] == [7, 34, 112, 124]
+    code, out, _ = run(capsys, "solve-quadratic", str(2**40), "1", "0", "--mod", str(2**41))
+    assert code == 0 and out.split() == ["0"]
 
 
 def test_solve_linear(capsys):

@@ -7,14 +7,13 @@ from hypothesis import given, settings, strategies as st
 from conftest import primes_upto
 from quadres.congruences import (
     QuadCongruence,
-    _solve_by_completing_square,
     solve_linear,
     solve_quadratic,
     solve_quadratic_coprime,
 )
 from quadres.errors import NotCoprime, NotQuadratic
-from quadres.oracle import brute_quadratic
-from quadres.sqrtmod import _prime_power_roots, _square_roots_any
+from quadres.oracle import brute_quadratic, completing_square_quadratic
+from quadres.sqrtmod import _prime_power_roots, _quadratic_roots
 
 
 def test_solve_linear_examples():
@@ -94,13 +93,59 @@ def test_path_agreement_and_root_count():
             for b in range(-3, 4):
                 for c in range(-3, 4):
                     q = QuadCongruence(a, b, c, n)
-                    fast = solve_quadratic_coprime(q)
-                    general = _solve_by_completing_square(q)
+                    fast = solve_quadratic(q)
+                    general = completing_square_quadratic(q)
                     assert fast.residues == general.residues, (a, b, c, n)
                     roots = tuple(
                         t for t in range(n) if (t * t - q.discriminant) % n == 0
                     )
                     assert len(fast) == len(roots)
+
+
+def test_solve_quadratic_large_leading_coefficient():
+    # x*(a*x + 1) = 0 (mod p*a): the unit linear term makes 0 the one root
+    t0 = time.perf_counter()
+    for a, p in ((2**16, 2), (2**20, 2), (3**12, 3), (2**40, 2), (3**25, 3)):
+        assert solve_quadratic(QuadCongruence(a, 1, 0, p * a)).residues == (0,), a
+    # p-content 27 reaches the whole of 27: every x = 0 or 4 (mod 5) is a root
+    got = solve_quadratic(QuadCongruence(27, 27, 0, 27 * 5)).residues
+    assert got == tuple(x for x in range(135) if x % 5 in (0, 4))
+    assert time.perf_counter() - t0 < 1.0
+
+
+# coefficients with high 2- and 3-content, so every branch of the
+# per-prime-power rule is taken, including p-content at or above e
+_RICH_A = (1, -2, 3, 4, 8, 9, 27, 32, 81, 128)
+_RICH_B = (0, 1, 2, 3, 6, 9, -4)
+_RICH_C = (0, 1, -1, 8, 27)
+
+
+def test_solve_quadratic_prime_power_content_grid():
+    for n in range(2, 300):
+        for a in _RICH_A:
+            if a % n == 0:
+                continue
+            for b in _RICH_B:
+                for c in _RICH_C:
+                    got = solve_quadratic(QuadCongruence(a, b, c, n)).residues
+                    assert got == brute_quadratic(a, b, c, n).residues, (a, b, c, n)
+
+
+@pytest.mark.parametrize(
+    "a, b, c, n",
+    [
+        (2**20, 1, 0, 2**21),
+        (12, 6, -18, 2**5 * 3**4 * 5**3),
+        (9, 3, -6, 2**6 * 3**5 * 5**2),
+        (5, 1, -6, 2**10 * 3**3 * 7),
+    ],
+    ids=["2^21", "2^5*3^4*5^3", "2^6*3^5*5^2", "2^10*3^3*7"],
+)
+def test_solve_quadratic_matches_sympy(a, b, c, n):
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    want = sorted(sympy.ntheory.polynomial_congruence(a * x**2 + b * x + c, n))
+    assert list(solve_quadratic(QuadCongruence(a, b, c, n)).residues) == want
 
 
 def test_membership():
@@ -141,7 +186,7 @@ def test_prime_power_roots_match_scan():
         for d in range(pe):
             want = tuple(scan[d])
             assert _prime_power_roots(d, p, e) == want, (d, p, e)
-            assert _square_roots_any(d, pe).residues == want, (d, p, e)
+            assert _quadratic_roots(1, 0, -d, pe).residues == want, (d, p, e)
 
 
 def test_prime_power_roots_large_exponents():

@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 
 from conftest import primes_upto
 from quadres.core import (
-    CrtComponent,
+    ResidueSet,
     crt_combine,
     ext_gcd,
     factorize,
@@ -145,7 +145,7 @@ def test_is_prime_matches_sympy_below_psi13():
 
 def test_crt_combine_example_mod_180():
     rs = crt_combine(
-        [CrtComponent(4, (1, 3)), CrtComponent(9, (4, 5)), CrtComponent(5, (1, 4))]
+        [ResidueSet(4, (1, 3)), ResidueSet(9, (4, 5)), ResidueSet(5, (1, 4))]
     )
     assert rs.modulus == 180
     assert rs.residues == (31, 41, 49, 59, 121, 131, 139, 149)
@@ -153,28 +153,28 @@ def test_crt_combine_example_mod_180():
 
 def test_crt_combine_example_mod_1235():
     rs = crt_combine(
-        [CrtComponent(5, (1, 4)), CrtComponent(13, (3, 10)), CrtComponent(19, (2, 17))]
+        [ResidueSet(5, (1, 4)), ResidueSet(13, (3, 10)), ResidueSet(19, (2, 17))]
     )
     assert rs.modulus == 1235
     assert rs.residues == (36, 211, 439, 549, 686, 796, 1024, 1199)
 
 
 def test_crt_combine_single_component():
-    assert crt_combine([CrtComponent(7, (2,))]).residues == (2,)
+    assert crt_combine([ResidueSet(7, (2,))]).residues == (2,)
 
 
 def test_crt_combine_errors():
     with pytest.raises(NonCoprimeModuli):
-        crt_combine([CrtComponent(4, (1,)), CrtComponent(6, (1,))])
+        crt_combine([ResidueSet(4, (1,)), ResidueSet(6, (1,))])
     with pytest.raises(ValueError):
         crt_combine([])
 
 
 def test_crt_combine_size_and_membership():
     cases = [
-        [CrtComponent(8, (1, 3, 5)), CrtComponent(9, (2, 7)), CrtComponent(5, (0, 1, 2))],
-        [CrtComponent(3, (0, 1, 2)), CrtComponent(25, (4, 21))],
-        [CrtComponent(1, (0,)), CrtComponent(7, (3, 4))],
+        [ResidueSet(8, (1, 3, 5)), ResidueSet(9, (2, 7)), ResidueSet(5, (0, 1, 2))],
+        [ResidueSet(3, (0, 1, 2)), ResidueSet(25, (4, 21))],
+        [ResidueSet(1, (0,)), ResidueSet(7, (3, 4))],
     ]
     for comps in cases:
         rs = crt_combine(comps)

@@ -1,0 +1,29 @@
+"""Package layout: the reference routes in `oracle` stay out of the fast paths."""
+
+import ast
+import pathlib
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "quadres"
+
+
+def _imported_modules(tree):
+    """Module names an AST imports, with relative imports resolved inside quadres."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.name
+        elif isinstance(node, ast.ImportFrom):
+            base = "quadres" if node.level else ""
+            module = ".".join(part for part in (base, node.module) if part)
+            yield module
+            for alias in node.names:
+                yield f"{module}.{alias.name}"
+
+
+def test_only_cli_imports_oracle():
+    importers = sorted(
+        path.name
+        for path in SRC.glob("*.py")
+        if "quadres.oracle" in _imported_modules(ast.parse(path.read_text()))
+    )
+    assert importers == ["cli.py"]

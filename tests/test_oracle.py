@@ -1,5 +1,6 @@
 import pytest
 
+from quadres.congruences import QuadCongruence
 from quadres.errors import BudgetExceeded, NotOddPrime
 from quadres.oracle import (
     SCAN_BUDGET,
@@ -7,6 +8,7 @@ from quadres.oracle import (
     brute_quadratic,
     brute_sqrt_mod,
     brute_two_squares,
+    completing_square_quadratic,
     legendre_gauss_lemma,
     pigeonhole_rep_from_root,
 )
@@ -64,3 +66,5 @@ def test_budget():
         pigeonhole_rep_from_root(1000, SCAN_BUDGET + 1)  # 1000^2 + 1 = 10^6 + 1
     with pytest.raises(BudgetExceeded):
         legendre_gauss_lemma(2, 1000003)
+    with pytest.raises(BudgetExceeded):
+        completing_square_quadratic(QuadCongruence(SCAN_BUDGET + 1, 1, 0, 7))
