@@ -11,28 +11,46 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import NonCoprimeModuli, NotInvertible
+from .errors import BudgetExceeded, NonCoprimeModuli, NotInvertible
 
 # Miller-Rabin on the first 13 primes is deterministic below psi_13 (OEIS
 # A014233; Sorenson and Webster, Math. Comp. 86, 2017); on 12, below 3.19e23.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PSI_13 = 3317044064679887385961981
 
 
 @lru_cache(maxsize=1 << 16)
 def is_prime(n: int) -> bool:
-    """Miller-Rabin on fixed witnesses: deterministic below
-    psi_13 = 3317044064679887385961981, a strong probable-prime test above."""
+    """Primality of n.
+
+    Below psi_13 = 3317044064679887385961981 the answer is deterministic:
+    Miller-Rabin on the first 13 prime bases has no pseudoprime there. At or
+    above psi_13 it is BPSW (Baillie-Wagstaff, Math. Comp. 35, 1980): a strong
+    base-2 test, then a strong Lucas test with Selfridge's parameters. No
+    BPSW pseudoprime is known, but none has been ruled out above 2^64.
+    """
     if n < 2:
         return False
     for p in _MR_BASES:
         if n % p == 0:
             return n == p
+    if n < _PSI_13:
+        return _miller_rabin(n, _MR_BASES)
+    return (
+        math.isqrt(n) ** 2 != n
+        and _miller_rabin(n, (2,))
+        and _strong_lucas_probable_prime(n)
+    )
+
+
+def _miller_rabin(n: int, bases: tuple[int, ...]) -> bool:
+    """True when the odd n > 2 is a strong probable prime to every base."""
     d = n - 1
     s = 0
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in _MR_BASES:
+    for a in bases:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue
@@ -43,6 +61,45 @@ def is_prime(n: int) -> bool:
         else:
             return False
     return True
+
+
+def _strong_lucas_probable_prime(n: int) -> bool:
+    """Strong Lucas test of the odd non-square n > 2, Selfridge's method A.
+
+    D is the first of 5, -7, 9, -11, ... with (D/n) = -1, P = 1 and
+    Q = (1 - D)/4. With n + 1 = d * 2^s, d odd, n passes when U_d = 0 or
+    V_(d*2^r) = 0 (mod n) for some 0 <= r < s.
+    """
+    from .symbols import jacobi  # symbols imports core
+
+    D = 5
+    while (j := jacobi(D, n)) != -1:
+        if j == 0 and abs(D) != n:
+            return False
+        D = -D - 2 if D > 0 else 2 - D
+    Q = (1 - D) // 4
+    d = n + 1
+    s = 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    # U_1 = 1, V_1 = P = 1; doubling: U_2k = U_k V_k, V_2k = V_k^2 - 2Q^k;
+    # stepping: U_(k+1) = (U_k + V_k)/2, V_(k+1) = (D U_k + V_k)/2.
+    u, v, qk = 1, 1, Q % n
+    for bit in bin(d)[3:]:
+        u, v, qk = u * v % n, (v * v - 2 * qk) % n, qk * qk % n
+        if bit == "1":
+            u, v = (u + v) % n, (D * u + v) % n
+            u = (u + n if u % 2 else u) // 2
+            v = (v + n if v % 2 else v) // 2
+            qk = qk * Q % n
+    if u == 0 or v == 0:
+        return True
+    for _ in range(s - 1):
+        v, qk = (v * v - 2 * qk) % n, qk * qk % n
+        if v == 0:
+            return True
+    return False
 
 
 def ext_gcd(a: int, b: int) -> tuple[int, int, int]:
@@ -89,9 +146,38 @@ class Factorization:
         return out
 
 
+def _odd_primes_below(limit: int) -> tuple[int, ...]:
+    sieve = bytearray([1]) * limit
+    for p in range(3, math.isqrt(limit) + 1, 2):
+        if sieve[p]:
+            sieve[p * p :: 2 * p] = bytes(len(range(p * p, limit, 2 * p)))
+    return tuple(p for p in range(3, limit, 2) if sieve[p])
+
+
+# Trial division covers every prime below 2^12, so the smooth moduli a caller
+# builds by hand never reach rho, and a cofactor below 2^24 left by it is prime.
+_TRIAL_BOUND = 1 << 12
+_ODD_PRIMES = _odd_primes_below(_TRIAL_BOUND)
+
+# Brent's rho takes one gcd per _RHO_BATCH products of |x - y|. Balanced
+# semiprimes near 10^24 need 0.11-6.4 M steps, five times fewer than the cap.
+_RHO_BATCH = 128
+_RHO_MAX_STEPS = 1 << 25
+
+
 @lru_cache(maxsize=1 << 14)
 def factorize(n: int) -> Factorization:
-    """Factor a nonzero integer by trial division (fine at desk scale, < 1e12)."""
+    """Factor a nonzero integer: trial division below 2^12, then Pollard-Brent rho.
+
+    Powers of 2 are stripped and every odd prime below 2^12 is tried, stopping
+    once p^2 exceeds the cofactor. A cofactor left above 2^24 is tested with
+    `is_prime` and, if composite, split by Brent's rho until every part is
+    prime. Rho's cost grows as the square root of the second-largest prime
+    factor: balanced semiprimes took milliseconds near 10^18, up to a few
+    seconds near 10^24 and up to 20 s near 10^28. Past its step cap rho
+    raises BudgetExceeded (see `_brent_rho`), as on a balanced 10^40
+    semiprime.
+    """
     if n == 0:
         raise ValueError("0 has no prime factorization")
     sign = -1 if n < 0 else 1
@@ -103,18 +189,73 @@ def factorize(n: int) -> Factorization:
         e += 1
     if e:
         factors.append((2, e))
-    p = 3
-    while p * p <= m:
+    for p in _ODD_PRIMES:
+        if p * p > m:
+            break
         if m % p == 0:
             e = 0
             while m % p == 0:
                 m //= p
                 e += 1
             factors.append((p, e))
-        p += 2
-    if m > 1:
-        factors.append((m, 1))
+    if m < _TRIAL_BOUND**2:
+        if m > 1:
+            factors.append((m, 1))
+        return Factorization(sign, tuple(factors))
+    large: dict[int, int] = {}
+    pending = [m]
+    while pending:
+        m = pending.pop()
+        if is_prime(m):
+            large[m] = large.get(m, 0) + 1
+        else:
+            d = _brent_rho(m)
+            pending += (d, m // d)
+    factors += sorted(large.items())
     return Factorization(sign, tuple(factors))
+
+
+def _brent_rho(n: int) -> int:
+    """A nontrivial factor of the odd composite n, by Pollard-Brent rho.
+
+    Iterates y -> y^2 + c mod n with Brent's cycle detection (BIT 20, 1980),
+    taking one gcd per _RHO_BATCH products of |x - y|; when a batch's gcd is
+    n it backtracks one step at a time, and if that still gives n it retries
+    with the next c = 1, 2, ... Iterations over all c are counted, and a
+    doubling round (2r iterations at most) that could take the count past
+    _RHO_MAX_STEPS = 2^25 raises BudgetExceeded instead of starting. A
+    40-digit n is refused after about 23 s on a 2 vCPU host; the time per
+    step grows slowly with the size of n.
+    """
+    steps = 0
+    for c in itertools.count(1):
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            if steps + 2 * r > _RHO_MAX_STEPS:
+                raise BudgetExceeded(
+                    f"factoring {n} by rho exceeds its budget of {_RHO_MAX_STEPS} steps"
+                )
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                batch = min(_RHO_BATCH, r - k)
+                for _ in range(batch):
+                    y = (y * y + c) % n
+                    q = q * abs(x - y) % n
+                g = math.gcd(q, n)
+                k += batch
+            steps += r + k
+            r *= 2
+        if g == n:
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = math.gcd(abs(x - ys), n)
+        if g != n:
+            return g
 
 
 @dataclass(frozen=True)

@@ -67,4 +67,5 @@ class BadParameters(NumberTheoryError):
 
 
 class BudgetExceeded(NumberTheoryError):
-    """A brute-force oracle was asked to scan beyond its budget."""
+    """Work would exceed a fixed budget: a brute-force oracle scan, or the
+    Pollard-Brent rho steps `factorize` may spend on one composite cofactor."""

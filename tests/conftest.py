@@ -1,4 +1,6 @@
+import contextlib
 import math
+import signal
 
 
 def primes_upto(limit: int) -> list[int]:
@@ -24,3 +26,20 @@ def rn_poly(n: int, x: int, y: int) -> int:
         math.comb(2 * n + 1, 2 * j) * x ** (2 * (n - j)) * y ** (2 * j - 1)
         for j in range(1, n + 1, 2)
     )
+
+
+@contextlib.contextmanager
+def time_limit(seconds: float):
+    """Raise TimeoutError in the block once `seconds` of wall time have passed,
+    so a call that hangs fails the test instead of stalling the suite."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"took longer than {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)

@@ -1,5 +1,6 @@
 import json
 
+from quadres import core
 from quadres.cli import main
 
 
@@ -54,6 +55,20 @@ def test_sqrtmod_plain_and_empty(capsys):
     assert out.split() == ["31", "41", "49", "59", "121", "131", "139", "149"]
     code, out, _ = run(capsys, "sqrtmod", "2", "9")
     assert code == 0 and out == ""  # no solutions is still ok
+
+
+def test_sqrtmod_large_semiprimes(capsys, monkeypatch):
+    code, out, _ = run(capsys, "sqrtmod", "4", str(999999937 * 1000000009))
+    assert code == 0
+    assert out.split() == [
+        "2", "55555552499999970", "944444393499999463", "999999945999999431",
+    ]
+    # a balanced 10^40 semiprime needs about 10^10 rho steps; the default cap
+    # refuses it after 2^25, and a lower one here keeps the test fast
+    monkeypatch.setattr(core, "_RHO_MAX_STEPS", 1 << 12)
+    n = 100000000000000000039 * 110000000000000000113
+    code, out, err = run(capsys, "sqrtmod", "4", str(n))
+    assert code == 1 and out == "" and "budget" in err
 
 
 def test_solve_quadratic(capsys):

@@ -4,7 +4,8 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import primes_upto
+from conftest import primes_upto, time_limit
+from quadres import core
 from quadres.core import (
     ResidueSet,
     crt_combine,
@@ -13,12 +14,18 @@ from quadres.core import (
     is_prime,
     mod_inverse,
 )
-from quadres.errors import NonCoprimeModuli, NotInvertible, NotOddPrime, NotPrime
+from quadres.errors import (
+    BudgetExceeded,
+    NonCoprimeModuli,
+    NotInvertible,
+    NotOddPrime,
+    NotPrime,
+)
 from quadres.symbols import legendre_euler
 from quadres.two_squares import represent_prime
 
 # The smallest strong pseudoprimes to the first 12 and 13 prime bases
-# (OEIS A014233). Never factorize PSI_12: trial division to 4e11 does not finish.
+# (OEIS A014233), each a product of two primes near 10^12.
 PSI_12 = 318665857834031151167461
 PSI_13 = 3317044064679887385961981
 
@@ -132,6 +139,84 @@ def test_psi12_is_composite():
         legendre_euler(2, PSI_12)
     with pytest.raises(NotPrime):
         represent_prime(PSI_12)
+
+
+def test_psi13_is_composite_and_factors():
+    assert is_prime(PSI_13) is False
+    with time_limit(1):
+        assert factorize(PSI_12).factors == ((399165290221, 1), (798330580441, 1))
+    # rho takes about 1.8 M steps here, 0.8-0.9 s on a 2 vCPU host
+    with time_limit(3):
+        assert factorize(PSI_13).factors == ((1287836182261, 1), (2575672364521, 1))
+
+
+def test_strong_lucas_pseudoprimes_below_1e5():
+    # the odd composite non-squares passing the Selfridge strong Lucas test
+    # (OEIS A217255); every odd prime passes
+    primes = set(primes_upto(10**5))
+    passing = [
+        n
+        for n in range(3, 10**5, 2)
+        if math.isqrt(n) ** 2 != n and core._strong_lucas_probable_prime(n)
+    ]
+    assert [n for n in passing if n not in primes] == [
+        5459, 5777, 10877, 16109, 18971, 22499,
+        24569, 25199, 40309, 58519, 75077, 97439,
+    ]
+    assert primes - {2} <= set(passing)
+
+
+def _chernick_carmichael(k: int) -> int:
+    """(6k+1)(12k+1)(18k+1) for the first k >= the given one with all three prime."""
+    from sympy import isprime
+
+    while not all(isprime(m * k + 1) for m in (6, 12, 18)):
+        k += 1
+    return (6 * k + 1) * (12 * k + 1) * (18 * k + 1)
+
+
+def test_is_prime_matches_sympy_above_psi13():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(20261018)
+    for _ in range(3000):
+        n = rng.randrange(10**20, 10**60) | 1
+        assert is_prime(n) == sympy.isprime(n), n
+    p = sympy.nextprime(PSI_13)
+    assert is_prime(p) and is_prime(p * p) is False
+    assert is_prime(_chernick_carmichael(10**8)) is False
+
+
+def test_factorize_matches_sympy_factorint():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(9)
+
+    def prime(lo, hi):
+        return sympy.nextprime(rng.randrange(lo, hi))
+
+    cases = [
+        4093 * 4099, 4099 * 4099, 4093**2 * 4099 * 4111, 4091 * 4093 * 4099 * 4111,
+        4093**3 * 4099**3, 2**5 * 4079 * 4091 * 4093 * 4099 * 4111 * 4127,
+        561, 1105, 1729, 41041, 825265, 3215031751,
+    ]
+    cases += [_chernick_carmichael(k) for k in (10**3, 10**5, 10**7, 5 * 10**8)]
+    for digits in (6, 6, 9, 9, 12):
+        cases.append(prime(10**digits, 3 * 10**digits) * prime(10**digits, 3 * 10**digits))
+    for hi in (10**5, 10**8, 10**10):
+        p = prime(4097, hi)
+        cases += [p * p, p**3, 4093 * p * p, p * p * prime(4097, hi)]
+    for _ in range(30):
+        n = math.prod(prime(3, 10**rng.randrange(1, 6)) for _ in range(rng.randrange(1, 3)))
+        cases.append(n * prime(10**9, 10**rng.randrange(10, 20)))
+    assert max(cases) < 10**30
+    for n in cases:
+        assert dict(factorize(n).factors) == sympy.factorint(n), n
+
+
+def test_factorize_refuses_above_the_rho_step_cap(monkeypatch):
+    n = 999999999989 * 1000000000039
+    monkeypatch.setattr(core, "_RHO_MAX_STEPS", 1 << 12)
+    with time_limit(1), pytest.raises(BudgetExceeded, match="budget"):
+        factorize(n)
 
 
 def test_is_prime_matches_sympy_below_psi13():

@@ -3,6 +3,8 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
+from conftest import time_limit
+
 from quadres.errors import BothZero, ZeroArgument, ZeroOrUnit
 from quadres.gaussian import (
     GaussianInt,
@@ -158,6 +160,20 @@ def test_factor_examples():
 
     f = factor(Z(9, 0))
     assert f.factors == ((Z(3, 0), 2),) and f.unit == Z(1, 0)
+
+
+def test_factor_norm_near_1e14():
+    # two split primes of norm about 1.3e7; trial division took 1 s here
+    pi1, pi2 = Z(3000, 2011), Z(3010, 2007)
+    xi = pi1 * pi2
+    with time_limit(1):
+        f = factor(xi)
+    assert f.value() == xi
+    assert f.factors == tuple(sorted(
+        ((canonical_associate(pi1), 1), (canonical_associate(pi2), 1)),
+        key=lambda pe: norm(pe[0]),
+    ))
+    assert [norm(p) for p, _ in f.factors] == [13044121, 13088149]
 
 
 def test_factor_rejects_zero_and_units():

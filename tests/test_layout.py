@@ -27,3 +27,16 @@ def test_only_cli_imports_oracle():
         if "quadres.oracle" in _imported_modules(ast.parse(path.read_text()))
     )
     assert importers == ["cli.py"]
+
+
+def test_core_imports_only_errors_at_module_level():
+    # symbols imports core, so the Jacobi symbol in core's Lucas test is
+    # imported inside the function; a module-level import would be a cycle
+    internal = {
+        name
+        for node in ast.parse((SRC / "core.py").read_text()).body
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for name in _imported_modules(node)
+        if name.startswith("quadres.") and name.count(".") == 1
+    }
+    assert internal == {"quadres.errors"}

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from conftest import odd_primes_upto
+from conftest import odd_primes_upto, time_limit
 from quadres.errors import EvenArgument, NotCoprime, NotOddPrime
 from quadres.oracle import brute_sqrt_mod
 from quadres.sqrtmod import (
@@ -167,3 +167,15 @@ def test_is_quadratic_residue_matches_enumeration():
         for a in range(n):
             if math.gcd(a, n) == 1:
                 assert is_quadratic_residue(a, n) == bool(sqrt_mod(a, n).residues)
+
+
+def test_sqrt_mod_hard_semiprime():
+    # trial division alone would run to p, about 70 s
+    p, q = 998244353, 1000000007
+    with time_limit(1):
+        roots = sqrt_mod(4, p * q).residues
+    inv_q, inv_p = pow(q, -1, p), pow(p, -1, q)
+    expected = sorted(
+        (a * q * inv_q + b * p * inv_p) % (p * q) for a in (2, p - 2) for b in (2, q - 2)
+    )
+    assert list(roots) == expected
