@@ -48,7 +48,7 @@ print("solutions mod 1235:", list(sols))
 print("paper's route agrees:", list(completing_square_quadratic(q1235)) == list(sols))
 print("brute force agrees  :", list(brute_quadratic(3, 7, -1, 1235)) == list(sols))
 
-banner("A square root table with the full 2-power ladder")
+banner("A square root table modulo 4 and odd prime powers")
 print("X^2 = 61 (mod 2340), 2340 = 2^2 * 3^2 * 5 * 13")
 print(list(sqrt_mod(61, 2340)))
 print("16 residues: 2^(s+1) with s = 3 odd primes and four = 2^2 dividing n")

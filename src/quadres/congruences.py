@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 
 from .core import ResidueSet, mod_inverse
-from .errors import NotCoprime, NotQuadratic
+from .errors import NotQuadratic
 from .sqrtmod import _quadratic_roots
 
 
@@ -62,9 +62,3 @@ def solve_quadratic(q: QuadCongruence) -> ResidueSet:
     prime power by prime power (see `sqrtmod`)."""
     return _quadratic_roots(q.a, q.b, q.c, q.n)
 
-
-def solve_quadratic_coprime(q: QuadCongruence) -> ResidueSet:
-    """`solve_quadratic` for the case gcd(2a, n) = 1, which it checks first."""
-    if math.gcd(2 * q.a, q.n) != 1:
-        raise NotCoprime(f"gcd(2*{q.a}, {q.n}) != 1")
-    return solve_quadratic(q)

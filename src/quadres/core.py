@@ -176,12 +176,13 @@ def factorize(n: int) -> Factorization:
     factor: balanced semiprimes took milliseconds near 10^18, up to a few
     seconds near 10^24 and up to 20 s near 10^28. Past its step cap rho
     raises BudgetExceeded (see `_brent_rho`), as on a balanced 10^40
-    semiprime.
+    semiprime. A negative n reuses the cached factorization of -n.
     """
     if n == 0:
         raise ValueError("0 has no prime factorization")
-    sign = -1 if n < 0 else 1
-    m = abs(n)
+    if n < 0:
+        return Factorization(-1, factorize(-n).factors)
+    m = n
     factors = []
     e = 0
     while m % 2 == 0:
@@ -201,7 +202,7 @@ def factorize(n: int) -> Factorization:
     if m < _TRIAL_BOUND**2:
         if m > 1:
             factors.append((m, 1))
-        return Factorization(sign, tuple(factors))
+        return Factorization(1, tuple(factors))
     large: dict[int, int] = {}
     pending = [m]
     while pending:
@@ -212,7 +213,7 @@ def factorize(n: int) -> Factorization:
             d = _brent_rho(m)
             pending += (d, m // d)
     factors += sorted(large.items())
-    return Factorization(sign, tuple(factors))
+    return Factorization(1, tuple(factors))
 
 
 def _brent_rho(n: int) -> int:

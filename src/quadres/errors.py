@@ -34,10 +34,6 @@ class EvenModulus(NumberTheoryError):
     """Jacobi symbols are only defined for odd moduli."""
 
 
-class EvenArgument(NumberTheoryError):
-    """Square roots modulo powers of two require an odd residue."""
-
-
 class NotQuadratic(NumberTheoryError):
     """The leading coefficient vanishes mod n; the congruence is linear."""
 

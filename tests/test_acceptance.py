@@ -15,7 +15,7 @@ import math
 import time
 
 from conftest import odd_primes_upto, primes_upto, rn_poly as _rn_poly
-from quadres.congruences import QuadCongruence, solve_quadratic, solve_quadratic_coprime
+from quadres.congruences import QuadCongruence, solve_quadratic
 from quadres.core import factorize
 from quadres.diophantine import (
     cz2_solution,
@@ -87,7 +87,7 @@ def test_criterion_02_quadratic_golden_vectors():
         (QuadCongruence(3, 7, -1, 195), solve_quadratic, (7, 34, 112, 124)),
         (
             QuadCongruence(3, 7, -1, 1235),
-            solve_quadratic_coprime,
+            solve_quadratic,
             (34, 72, 319, 502, 749, 787, 1022, 1034),
         ),
     ]

@@ -5,15 +5,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import primes_upto
-from quadres.congruences import (
-    QuadCongruence,
-    solve_linear,
-    solve_quadratic,
-    solve_quadratic_coprime,
-)
-from quadres.errors import NotCoprime, NotQuadratic
+from quadres.congruences import QuadCongruence, solve_linear, solve_quadratic
+from quadres.errors import NotQuadratic
 from quadres.oracle import brute_quadratic, completing_square_quadratic
-from quadres.sqrtmod import _prime_power_roots, _quadratic_roots
+from quadres.sqrtmod import _quadratic_prime_power_roots, _quadratic_roots
 
 
 def test_solve_linear_examples():
@@ -56,21 +51,11 @@ def test_solve_quadratic_golden():
     assert solve_quadratic(QuadCongruence(3, 7, -1, 15)).residues == (4, 7)
     assert solve_quadratic(QuadCongruence(3, 7, -1, 195)).residues == (7, 34, 112, 124)
     assert solve_quadratic(QuadCongruence(1, 0, 0, 5)).residues == (0,)
-
-
-def test_solve_quadratic_coprime_golden():
-    got = solve_quadratic_coprime(QuadCongruence(3, 7, -1, 1235))
+    got = solve_quadratic(QuadCongruence(3, 7, -1, 1235))
     assert got.residues == (34, 72, 319, 502, 749, 787, 1022, 1034)
-    assert solve_quadratic_coprime(QuadCongruence(1, 0, -1, 9)).residues == (1, 8)
+    assert solve_quadratic(QuadCongruence(1, 0, -1, 9)).residues == (1, 8)
     # 5x^2 = 1 (mod 11) checked exhaustively over 0..10
-    assert solve_quadratic_coprime(QuadCongruence(5, 0, -1, 11)).residues == (3, 8)
-
-
-def test_solve_quadratic_coprime_requires_coprimality():
-    with pytest.raises(NotCoprime):
-        solve_quadratic_coprime(QuadCongruence(3, 1, 1, 9))
-    with pytest.raises(NotCoprime):
-        solve_quadratic_coprime(QuadCongruence(1, 1, 1, 8))
+    assert solve_quadratic(QuadCongruence(5, 0, -1, 11)).residues == (3, 8)
 
 
 def test_solve_quadratic_oracle_grid():
@@ -185,7 +170,7 @@ def test_prime_power_roots_match_scan():
             scan[x * x % pe].append(x)
         for d in range(pe):
             want = tuple(scan[d])
-            assert _prime_power_roots(d, p, e) == want, (d, p, e)
+            assert _quadratic_prime_power_roots(1, 0, -d, p, e) == want, (d, p, e)
             assert _quadratic_roots(1, 0, -d, pe).residues == want, (d, p, e)
 
 
@@ -197,12 +182,12 @@ def test_prime_power_roots_large_exponents():
     # T^2 = 2^10 * u (mod 2^40), u = 1 (mod 8): 2^5 * y, y the 4 roots mod 2^30
     # taken mod 2^35, so 4 * 2^5 = 128 roots
     u = 8 * 12345 + 1
-    roots = _prime_power_roots(2**10 * u, 2, 40)
+    roots = _quadratic_prime_power_roots(1, 0, -(2**10 * u), 2, 40)
     assert len(roots) == 128 and roots == tuple(sorted(set(roots)))
     assert all((x * x - 2**10 * u) % 2**40 == 0 for x in roots)
     assert all(x % 2**5 == 0 for x in roots)
     # odd valuation: 5^7 * 2 is never a square mod 5^15
-    assert _prime_power_roots(5**7 * 2, 5, 15) == ()
+    assert _quadratic_prime_power_roots(1, 0, -(5**7 * 2), 5, 15) == ()
     assert solve_quadratic(QuadCongruence(1, 0, -(5**7) * 2, 5**15 * 7)).residues == ()
     assert time.perf_counter() - t0 < 1.0
 
@@ -218,4 +203,4 @@ def test_prime_power_roots_match_sympy(p, e):
                 continue
             d = p**v * u
             want = sorted(sympy_ntheory.sqrt_mod(d, p**e, all_roots=True))
-            assert list(_prime_power_roots(d, p, e)) == want, (d, p, e)
+            assert list(_quadratic_prime_power_roots(1, 0, -d, p, e)) == want, (d, p, e)

@@ -219,6 +219,20 @@ def test_factorize_refuses_above_the_rho_step_cap(monkeypatch):
         factorize(n)
 
 
+def test_factorize_negative_reuses_the_cache_for_n(monkeypatch):
+    # -n differs from n only in sign, so factoring it right after n starts no rho
+    calls = []
+    rho = core._brent_rho
+    monkeypatch.setattr(core, "_brent_rho", lambda m: calls.append(m) or rho(m))
+    n = 10007 * 10009
+    factorize.cache_clear()
+    assert factorize(n).factors == ((10007, 1), (10009, 1))
+    assert calls == [n]
+    f = factorize(-n)
+    assert f.sign == -1 and f.factors == ((10007, 1), (10009, 1))
+    assert calls == [n]
+
+
 def test_is_prime_matches_sympy_below_psi13():
     sympy = pytest.importorskip("sympy")
     rng = random.Random(20240613)

@@ -1,7 +1,10 @@
-"""Package layout: the reference routes in `oracle` stay out of the fast paths."""
+"""Package layout: the reference routes in `oracle` stay out of the fast paths,
+every exported name resolves, and the cached functions keep their caches."""
 
 import ast
 import pathlib
+
+import quadres
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "quadres"
 
@@ -40,3 +43,14 @@ def test_core_imports_only_errors_at_module_level():
         if name.startswith("quadres.") and name.count(".") == 1
     }
     assert internal == {"quadres.errors"}
+
+
+def test_every_exported_name_resolves():
+    missing = [name for name in quadres.__all__ if not hasattr(quadres, name)]
+    assert missing == []
+
+
+def test_cached_functions_expose_cache_info():
+    # the traced benchmark and the observability aim read these hit rates
+    for name in ("factorize", "is_prime", "represent_prime"):
+        assert callable(getattr(quadres, name).cache_info), name

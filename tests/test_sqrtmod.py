@@ -3,15 +3,11 @@ import math
 import pytest
 
 from conftest import odd_primes_upto, time_limit
-from quadres.errors import EvenArgument, NotCoprime, NotOddPrime
+from quadres.cli import main
+from quadres.congruences import QuadCongruence, solve_quadratic
+from quadres.errors import NotCoprime, NotOddPrime
 from quadres.oracle import brute_sqrt_mod
-from quadres.sqrtmod import (
-    is_quadratic_residue,
-    lift_odd_prime_power,
-    sqrt_mod,
-    sqrt_mod_2e,
-    sqrt_mod_prime,
-)
+from quadres.sqrtmod import is_quadratic_residue, sqrt_mod, sqrt_mod_prime
 from quadres.symbols import jacobi
 
 
@@ -43,11 +39,11 @@ def test_sqrt_mod_prime_sweep():
 
 
 def test_lift_odd_prime_power_examples():
-    assert lift_odd_prime_power(7, 3, 2).residues == (4, 5)
-    assert lift_odd_prime_power(2, 7, 3).residues == (108, 235)
+    assert sqrt_mod(7, 3**2).residues == (4, 5)
+    assert sqrt_mod(2, 7**3).residues == (108, 235)
     for p, e in ((3, 3), (5, 2), (7, 4)):
-        assert lift_odd_prime_power(1, p, e).residues == (1, p**e - 1)
-    assert lift_odd_prime_power(2, 3, 4).residues == ()
+        assert sqrt_mod(1, p**e).residues == (1, p**e - 1)
+    assert sqrt_mod(2, 3**4).residues == ()
 
 
 def test_lift_odd_prime_power_sweep():
@@ -58,26 +54,26 @@ def test_lift_odd_prime_power_sweep():
                 if a % p == 0:
                     continue
                 assert (
-                    lift_odd_prime_power(a, p, e).residues
+                    sqrt_mod(a, p**e).residues
                     == brute_sqrt_mod(a, pe).residues
                 ), (a, p, e)
 
 
 def test_sqrt_mod_2e():
-    assert sqrt_mod_2e(61, 2).residues == (1, 3)
-    assert sqrt_mod_2e(17, 3).residues == (1, 3, 5, 7)
-    assert sqrt_mod_2e(3, 3).residues == ()
-    assert sqrt_mod_2e(5, 1).residues == (1,)
-    assert sqrt_mod_2e(3, 2).residues == ()
-    with pytest.raises(EvenArgument):
-        sqrt_mod_2e(4, 3)
+    assert sqrt_mod(61, 2**2).residues == (1, 3)
+    assert sqrt_mod(17, 2**3).residues == (1, 3, 5, 7)
+    assert sqrt_mod(3, 2**3).residues == ()
+    assert sqrt_mod(5, 2**1).residues == (1,)
+    assert sqrt_mod(3, 2**2).residues == ()
+    with pytest.raises(NotCoprime):
+        sqrt_mod(4, 8)
 
 
 def test_sqrt_mod_2e_sweep():
     for e in range(1, 9):
         m = 2**e
         for a in range(1, m, 2):
-            got = sqrt_mod_2e(a, e).residues
+            got = sqrt_mod(a, 2**e).residues
             assert got == brute_sqrt_mod(a, m).residues, (a, e)
             if got:
                 assert len(got) == (1 if e == 1 else 2 if e == 2 else 4)
@@ -179,3 +175,15 @@ def test_sqrt_mod_hard_semiprime():
         (a * q * inv_q + b * p * inv_p) % (p * q) for a in (2, p - 2) for b in (2, q - 2)
     )
     assert list(roots) == expected
+
+
+def test_empty_answers_at_deep_valuations(capsys):
+    # X^2 = p^v * u with u a non-square unit has no root; the answer must not
+    # cost p^(v/2) steps, as a loop over the lifts of an empty base would
+    with time_limit(1):
+        for v in (40, 2000):
+            q = QuadCongruence(1, 0, -2 * 3**v, 3 ** (v + 1))
+            assert solve_quadratic(q).residues == ()
+        assert solve_quadratic(QuadCongruence(1, 0, -3 * 2**60, 2**62)).residues == ()
+        code = main(["solve-quadratic", "1", "0", str(-2 * 3**40), "--mod", str(3**41)])
+    assert code == 0 and capsys.readouterr().out == ""
