@@ -51,6 +51,10 @@ def test_solve_quadratic_golden():
     assert solve_quadratic(QuadCongruence(3, 7, -1, 15)).residues == (4, 7)
     assert solve_quadratic(QuadCongruence(3, 7, -1, 195)).residues == (7, 34, 112, 124)
     assert solve_quadratic(QuadCongruence(1, 0, 0, 5)).residues == (0,)
+
+
+def test_solve_quadratic_coprime_golden():
+    # gcd(2a, n) = 1 in every case
     got = solve_quadratic(QuadCongruence(3, 7, -1, 1235))
     assert got.residues == (34, 72, 319, 502, 749, 787, 1022, 1034)
     assert solve_quadratic(QuadCongruence(1, 0, -1, 9)).residues == (1, 8)
