@@ -171,12 +171,13 @@ def factorize(n: int) -> Factorization:
 
     Powers of 2 are stripped and every odd prime below 2^12 is tried, stopping
     once p^2 exceeds the cofactor. A cofactor left above 2^24 is tested with
-    `is_prime` and, if composite, split by Brent's rho until every part is
-    prime. Rho's cost grows as the square root of the second-largest prime
-    factor: balanced semiprimes took milliseconds near 10^18, up to a few
-    seconds near 10^24 and up to 20 s near 10^28. Past its step cap rho
-    raises BudgetExceeded (see `_brent_rho`), as on a balanced 10^40
-    semiprime. A negative n reuses the cached factorization of -n.
+    `is_prime`; a composite one is split as a perfect power r^k if it is one,
+    else by Brent's rho, until every part is prime. Rho's cost grows as the
+    square root of the second-largest prime factor: balanced semiprimes took
+    milliseconds near 10^18, up to a few seconds near 10^24 and up to 20 s
+    near 10^28. Past its step cap rho raises BudgetExceeded (see
+    `_brent_rho`), as on a balanced 10^40 semiprime. A negative n reuses the
+    cached factorization of -n.
     """
     if n == 0:
         raise ValueError("0 has no prime factorization")
@@ -204,16 +205,47 @@ def factorize(n: int) -> Factorization:
             factors.append((m, 1))
         return Factorization(1, tuple(factors))
     large: dict[int, int] = {}
-    pending = [m]
+    pending = [(m, 1)]  # (cofactor, multiplicity)
     while pending:
-        m = pending.pop()
+        m, e = pending.pop()
         if is_prime(m):
-            large[m] = large.get(m, 0) + 1
+            large[m] = large.get(m, 0) + e
+        elif root := _perfect_power(m):
+            pending.append((root[0], e * root[1]))
         else:
             d = _brent_rho(m)
-            pending += (d, m // d)
+            pending += ((d, e), (m // d, e))
     factors += sorted(large.items())
     return Factorization(1, tuple(factors))
+
+
+def _perfect_power(m: int) -> tuple[int, int] | None:
+    """(r, k) with m = r^k for the least prime k that gives one, or None.
+
+    Only for m with no prime factor below 2^12: a k-th power is then at least
+    (2^12 + 1)^k, so k < log2(m)/12 bounds the search. k = 2 is `math.isqrt`,
+    larger k an integer Newton root. A composite exponent needs no test of
+    its own: the root found for its least prime factor is tested again.
+    (Bach and Sorenson, Algorithmica 9, 1993.)
+    """
+    bits = m.bit_length()
+    for k in itertools.chain((2,), _ODD_PRIMES):
+        if 12 * k >= bits:
+            return None
+        r = math.isqrt(m) if k == 2 else _integer_root(m, k)
+        if r**k == m:
+            return r, k
+    return None
+
+
+def _integer_root(m: int, k: int) -> int:
+    """floor(m^(1/k)) for m >= 1, by Newton's method from above."""
+    x = 1 << -(-m.bit_length() // k)
+    while True:
+        y = ((k - 1) * x + m // x ** (k - 1)) // k
+        if y >= x:
+            return x
+        x = y
 
 
 def _brent_rho(n: int) -> int:

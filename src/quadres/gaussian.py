@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 from .core import factorize, is_prime
 from .errors import BothZero, ZeroArgument, ZeroOrUnit
+from .two_squares import represent_prime
 
 
 @dataclass(frozen=True)
@@ -77,6 +78,31 @@ def associates(xi: GaussianInt) -> set[GaussianInt]:
     return {xi * u for u in UNITS}
 
 
+# The hot loops below (Euclid, and exact division in factor) run on
+# (re, im) int pairs and build a GaussianInt only for the caller.
+
+
+def _canonical_ints(x: int, y: int) -> tuple[int, int]:
+    # multiply the nonzero x + y*i by i until re > 0 and im >= 0
+    while x <= 0 or y < 0:
+        x, y = -y, x
+    return x, y
+
+
+def _div_rem_ints(a: int, b: int, c: int, d: int) -> tuple[int, int, int, int]:
+    # (q1, q2, r1, r2) with a + b*i = (q1 + q2*i)(c + d*i) + r1 + r2*i, where
+    # q1 + q2*i is (a + b*i)/(c + d*i) rounded to the nearest, ties toward
+    # the floor; c + d*i != 0
+    n = c * c + d * d
+    q1, s = divmod(a * c + b * d, n)
+    q2, t = divmod(b * c - a * d, n)
+    if 2 * s > n:
+        q1 += 1
+    if 2 * t > n:
+        q2 += 1
+    return q1, q2, a - q1 * c + q2 * d, b - q1 * d - q2 * c
+
+
 def canonical_associate(xi: GaussianInt) -> GaussianInt:
     """The unique associate with re > 0 and im >= 0.
 
@@ -85,17 +111,7 @@ def canonical_associate(xi: GaussianInt) -> GaussianInt:
     """
     if xi == ZERO:
         raise ZeroArgument("zero has no associates")
-    for _ in range(4):
-        if xi.re > 0 and xi.im >= 0:
-            return xi
-        xi = xi * I
-    raise AssertionError("unreachable")
-
-
-def _round_half_down(num: int, den: int) -> int:
-    # nearest integer to num/den with ties toward the floor; den > 0
-    q, r = divmod(num, den)
-    return q if 2 * r <= den else q + 1
+    return GaussianInt(*_canonical_ints(xi.re, xi.im))
 
 
 def div_rem(alpha: GaussianInt, beta: GaussianInt) -> tuple[GaussianInt, GaussianInt]:
@@ -106,19 +122,19 @@ def div_rem(alpha: GaussianInt, beta: GaussianInt) -> tuple[GaussianInt, Gaussia
     """
     if beta == ZERO:
         raise ZeroDivisionError("division by zero in Z(i)")
-    d = norm(beta)
-    num = alpha * beta.conjugate()
-    kappa = GaussianInt(_round_half_down(num.re, d), _round_half_down(num.im, d))
-    return kappa, alpha - kappa * beta
+    q1, q2, r1, r2 = _div_rem_ints(alpha.re, alpha.im, beta.re, beta.im)
+    return GaussianInt(q1, q2), GaussianInt(r1, r2)
 
 
 def gcd(alpha: GaussianInt, beta: GaussianInt) -> GaussianInt:
     """A greatest common divisor by the Euclidean algorithm, in canonical form."""
-    if alpha == ZERO and beta == ZERO:
+    a, b, c, d = alpha.re, alpha.im, beta.re, beta.im
+    if not (a or b or c or d):
         raise BothZero("gcd(0, 0) is undefined")
-    while beta != ZERO:
-        alpha, beta = beta, div_rem(alpha, beta)[1]
-    return canonical_associate(alpha)
+    while c or d:
+        _, _, r1, r2 = _div_rem_ints(a, b, c, d)
+        a, b, c, d = c, d, r1, r2
+    return GaussianInt(*_canonical_ints(a, b))
 
 
 def is_gaussian_prime(xi: GaussianInt) -> bool:
@@ -130,14 +146,6 @@ def is_gaussian_prime(xi: GaussianInt) -> bool:
         q = abs(xi.re) + abs(xi.im)
         return q % 4 == 3 and is_prime(q)
     return False
-
-
-def _exact_div(alpha: GaussianInt, beta: GaussianInt) -> GaussianInt | None:
-    d = norm(beta)
-    num = alpha * beta.conjugate()
-    if num.re % d != 0 or num.im % d != 0:
-        return None
-    return GaussianInt(num.re // d, num.im // d)
 
 
 @dataclass(frozen=True)
@@ -163,34 +171,30 @@ def factor(xi: GaussianInt) -> GaussianFactorization:
     """
     if xi == ZERO or is_unit(xi):
         raise ZeroOrUnit(f"{xi} has no prime factorization")
-    from .two_squares import represent_prime  # deferred; two_squares imports this module
-
-    remaining = xi
+    x, y = xi.re, xi.im
     found = []
     for p, _ in factorize(norm(xi)).factors:
         if p == 2:
-            candidates = [GaussianInt(1, 1)]
+            candidates = [(1, 1)]
         elif p % 4 == 3:
-            candidates = [GaussianInt(p, 0)]
+            candidates = [(p, 0)]
         else:
+            # p = a^2 + b^2 with a >= b > 0: a + b*i and i*(a - b*i) = b + a*i
             rep = represent_prime(p)
-            candidates = [
-                canonical_associate(GaussianInt(rep.a, rep.b)),
-                canonical_associate(GaussianInt(rep.a, -rep.b)),
-            ]
-        for prime in candidates:
+            candidates = [(rep.a, rep.b), (rep.b, rep.a)]
+        for c, d in candidates:
             e = 0
             while True:
-                quotient = _exact_div(remaining, prime)
-                if quotient is None:
+                q1, q2, r1, r2 = _div_rem_ints(x, y, c, d)
+                if r1 or r2:
                     break
-                remaining = quotient
-                e += 1
+                x, y, e = q1, q2, e + 1
             if e:
-                found.append((prime, e))
-    assert is_unit(remaining)
+                found.append((GaussianInt(c, d), e))
+    unit = GaussianInt(x, y)
+    assert is_unit(unit)
     found.sort(key=lambda fe: (norm(fe[0]), fe[0].re, fe[0].im))
-    return GaussianFactorization(remaining, tuple(found))
+    return GaussianFactorization(unit, tuple(found))
 
 
 def parse_gaussian(text: str) -> GaussianInt:

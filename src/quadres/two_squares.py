@@ -5,7 +5,8 @@ primitive representation it classifies by Euclid's algorithm on (n, k),
 in O(log n) steps (Brillhart 1972). The paper's own construction, a
 pigeonhole search over O(n) pairs, is kept as a test reference in
 `oracle.pigeonhole_rep_from_root`. r(n) is read off the exponents of n, and
-enumeration runs through the Gaussian factorization of n.
+enumeration runs through the Gaussian factorization of n, on (re, im) int
+pairs.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from functools import lru_cache
 
 from .core import factorize, is_prime
 from .errors import NotARoot, NotPrime, WrongResidueClass
-from .gaussian import UNITS, GaussianInt
 from .sqrtmod import sqrt_mod_prime
 
 
@@ -89,7 +89,8 @@ def represent_prime(p: int) -> TwoSquareRep:
 
 
 def _split_factorization(n: int):
-    # (exponent of 2, inert part prod q^(f/2) or None, [(pi, pibar, e), ...])
+    # (exponent of 2, inert part prod q^(f/2) or None, [((a, b), e), ...]),
+    # where a + b*i and its conjugate are the primes above p = a^2 + b^2
     g = 0
     inert = 1
     split = []
@@ -102,8 +103,27 @@ def _split_factorization(n: int):
             inert *= p ** (e // 2)
         else:
             rep = represent_prime(p)
-            split.append((GaussianInt(rep.a, rep.b), GaussianInt(rep.a, -rep.b), e))
+            split.append(((rep.a, rep.b), e))
     return g, inert, split
+
+
+def _powers(a: int, b: int, e: int) -> list[tuple[int, int]]:
+    # (a + b*i)^k for k = 0..e
+    out = [(1, 0)]
+    for _ in range(e):
+        x, y = out[-1]
+        out.append((x * a - y * b, x * b + y * a))
+    return out
+
+
+def _times(values, parts):
+    # every product v * w, v in values, w in parts
+    return [(x * u - y * v, x * v + y * u) for x, y in values for u, v in parts]
+
+
+def _unit_multiples(values):
+    # w, i*w, -w, -i*w for each w
+    return [w for x, y in values for w in ((x, y), (-y, x), (-x, -y), (y, -x))]
 
 
 def count_representations(n: int) -> int:
@@ -133,11 +153,16 @@ def all_representations(n: int) -> list[TwoSquareRep]:
     g, inert, split = _split_factorization(n)
     if inert is None:
         return []
-    values = [GaussianInt(inert, 0) * GaussianInt(1, -1) ** g]
-    for pi, pibar, e in split:
-        values = [v * pi**e1 * pibar ** (e - e1) for v in values for e1 in range(e + 1)]
-    pairs = {(w.re, w.im) for v in values for u in UNITS for w in (v * u,)}
-    return [TwoSquareRep(a, b, math.gcd(a, b) == 1) for a, b in sorted(pairs)]
+    x, y = _powers(1, -1, g)[-1]
+    values = [(inert * x, inert * y)]
+    for (a, b), e in split:
+        pows = _powers(a, b, e)
+        # pi^e1 * pibar^(e - e1), with pibar^k the conjugate of pi^k
+        parts = [(x * u + y * v, y * u - x * v) for (x, y), (u, v) in zip(pows, reversed(pows))]
+        values = _times(values, parts)
+    # the values are pairwise non-associate, so no pair repeats
+    pairs = sorted(_unit_multiples(values))
+    return [TwoSquareRep(a, b, math.gcd(a, b) == 1) for a, b in pairs]
 
 
 def primitive_representations(n: int) -> list[TwoSquareRep]:
@@ -152,13 +177,10 @@ def primitive_representations(n: int) -> list[TwoSquareRep]:
     if not has_primitive_representation(n):
         return []
     g, _, split = _split_factorization(n)
-    values = [GaussianInt(1, -1) ** g]
-    for pi, pibar, e in split:
-        values = [v * w for v in values for w in (pi**e, pibar**e)]
-    pairs = set()
-    for v in values:
-        for u in UNITS:
-            w = v * u
-            if w.re > 0 and w.im > 0:
-                pairs.add((w.re, w.im))
-    return [TwoSquareRep(a, b, math.gcd(a, b) == 1) for a, b in sorted(pairs)]
+    values = _powers(1, -1, g)[-1:]
+    for (a, b), e in split:
+        x, y = _powers(a, b, e)[-1]
+        values = _times(values, ((x, y), (x, -y)))
+    # one of the four associates of each value lies in the open first quadrant
+    pairs = sorted((x, y) for x, y in _unit_multiples(values) if x > 0 and y > 0)
+    return [TwoSquareRep(a, b, math.gcd(a, b) == 1) for a, b in pairs]

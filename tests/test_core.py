@@ -212,6 +212,41 @@ def test_factorize_matches_sympy_factorint():
         assert dict(factorize(n).factors) == sympy.factorint(n), n
 
 
+def _perfect_power_cases(sympy):
+    cases = [
+        sympy.nextprime(base) ** k for base in (10**10, 10**16, 10**30) for k in range(2, 6)
+    ]
+    return cases + [sympy.nextprime(10**10) ** 2 * sympy.nextprime(10**8)]
+
+
+def test_factorize_splits_perfect_powers_without_rho_time():
+    sympy = pytest.importorskip("sympy")
+    for n in _perfect_power_cases(sympy):
+        with time_limit(1):
+            f = factorize(n)
+        assert dict(f.factors) == sympy.factorint(n), n
+
+
+def test_rho_never_starts_on_a_perfect_power(monkeypatch):
+    sympy = pytest.importorskip("sympy")
+    calls = []
+    rho = core._brent_rho
+    monkeypatch.setattr(core, "_brent_rho", lambda m: calls.append(m) or rho(m))
+    *powers, mixed = _perfect_power_cases(sympy)
+    for n in powers:
+        core.factorize.__wrapped__(n)
+    assert calls == []
+    core.factorize.__wrapped__(mixed)
+    assert calls and not any(sympy.perfect_power(m) for m in calls)
+
+
+def test_integer_root_is_the_floor_root():
+    for k in (3, 5, 7, 13):
+        for m in [*range(1, 3000), 10**40 - 1, 10**40, 10**40 + 1, (10**9 + 7) ** k]:
+            r = core._integer_root(m, k)
+            assert r**k <= m < (r + 1) ** k, (m, k)
+
+
 def test_factorize_refuses_above_the_rho_step_cap(monkeypatch):
     n = 999999999989 * 1000000000039
     monkeypatch.setattr(core, "_RHO_MAX_STEPS", 1 << 12)

@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from conftest import time_limit
 
@@ -109,6 +109,35 @@ def test_div_rem_contract_property(a, b, c, d):
     assert 2 * norm(rho) <= norm(beta)
 
 
+def _by_digits(lo, hi):
+    # a nonzero int of k decimal digits, lo <= k <= hi, drawn by magnitude
+    return (
+        st.integers(lo, hi)
+        .flatmap(lambda k: st.integers(10 ** (k - 1), 10**k - 1))
+        .flatmap(lambda v: st.sampled_from((v, -v)))
+    )
+
+
+@given(_by_digits(28, 30), _by_digits(28, 30), _by_digits(1, 30), _by_digits(1, 30))
+def test_div_rem_contract_at_30_digits(a, b, c, d):
+    alpha, beta = Z(a, b), Z(c, d)
+    kappa, rho = div_rem(alpha, beta)
+    assert kappa * beta + rho == alpha
+    assert 2 * norm(rho) <= norm(beta)
+
+
+def test_div_rem_ties_round_toward_the_floor():
+    # alpha/beta lands exactly halfway in one or both coordinates
+    assert div_rem(Z(1, 0), Z(2, 0)) == (Z(0, 0), Z(1, 0))
+    assert div_rem(Z(1, 1), Z(2, 0)) == (Z(0, 0), Z(1, 1))
+    assert div_rem(Z(-1, 0), Z(2, 0)) == (Z(-1, 0), Z(1, 0))
+    assert div_rem(Z(-1, -1), Z(2, 0)) == (Z(-1, -1), Z(1, 1))
+    assert div_rem(Z(1, -1), Z(2, 0)) == (Z(0, -1), Z(1, 1))
+    assert div_rem(Z(1, 0), Z(1, 1)) == (Z(0, -1), Z(0, 1))
+    assert div_rem(Z(1, 0), Z(0, 2)) == (Z(0, -1), Z(-1, 0))
+    assert div_rem(Z(3, 1), Z(2, 0)) == (Z(1, 0), Z(1, 1))
+
+
 def test_gcd_examples():
     assert gcd(Z(5, 0), Z(2, 1)) == Z(2, 1)
     assert gcd(Z(3, 0), Z(7, 0)) == Z(1, 0)
@@ -133,6 +162,21 @@ def test_gcd_divides_both_and_is_greatest():
             for zeta in _disk(norm(g)):
                 if zeta != Z(0, 0) and _divides(zeta, alpha) and _divides(zeta, beta):
                     assert _divides(zeta, g)
+
+
+@settings(deadline=None)  # the first example imports SymPy
+@given(_by_digits(1, 15), _by_digits(1, 15), _by_digits(5, 15), _by_digits(5, 15),
+       _by_digits(5, 15), _by_digits(5, 15))
+def test_gcd_matches_sympy_with_a_planted_factor(g1, g2, a1, a2, b1, b2):
+    # operands of 6 to 30 digits sharing gamma = g1 + g2*i; SymPy's Z(i) gcd
+    # shares no code with ours and picks the same associate (re > 0, im >= 0)
+    zzi = pytest.importorskip("sympy.polys.domains").ZZ_I
+    gamma = Z(g1, g2)
+    alpha, beta = gamma * Z(a1, a2), gamma * Z(b1, b2)
+    expected = zzi.gcd(zzi(alpha.re, alpha.im), zzi(beta.re, beta.im))
+    g = gcd(alpha, beta)
+    assert (g.re, g.im) == (int(expected.x), int(expected.y))
+    assert _divides(gamma, g)
 
 
 def test_is_gaussian_prime_examples():

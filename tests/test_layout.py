@@ -45,6 +45,25 @@ def test_core_imports_only_errors_at_module_level():
     assert internal == {"quadres.errors"}
 
 
+def test_no_module_imports_inside_a_function():
+    # a function-level import hides an import cycle; the one kept is core's
+    # Lucas test, which needs the Jacobi symbol from symbols, and symbols
+    # imports core
+    nested = sorted(
+        (path.name, func.name, name)
+        for path in SRC.glob("*.py")
+        for func in ast.walk(ast.parse(path.read_text()))
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for node in ast.walk(func)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for name in _imported_modules(node)
+    )
+    assert nested == [
+        ("core.py", "_strong_lucas_probable_prime", "quadres.symbols"),
+        ("core.py", "_strong_lucas_probable_prime", "quadres.symbols.jacobi"),
+    ]
+
+
 def test_every_exported_name_resolves():
     missing = [name for name in quadres.__all__ if not hasattr(quadres, name)]
     assert missing == []

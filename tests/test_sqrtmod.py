@@ -187,3 +187,14 @@ def test_empty_answers_at_deep_valuations(capsys):
         assert solve_quadratic(QuadCongruence(1, 0, -3 * 2**60, 2**62)).residues == ()
         code = main(["solve-quadratic", "1", "0", str(-2 * 3**40), "--mod", str(3**41)])
     assert code == 0 and capsys.readouterr().out == ""
+
+
+def test_sqrt_mod_prime_square_modulus_near_1e32():
+    # factorize splits p^2 as a perfect power; rho would need ~10^8 steps here
+    sympy = pytest.importorskip("sympy")
+    p = sympy.nextprime(10**16)
+    x = 123456789123456789
+    with time_limit(1):
+        roots = sqrt_mod(x * x, p * p)
+    assert len(roots) == 2 and x % (p * p) in roots
+    assert all((r * r - x * x) % (p * p) == 0 for r in roots)

@@ -2,7 +2,7 @@ import math
 import time
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from conftest import primes_upto
 from quadres.errors import NotARoot, NotPrime, WrongResidueClass
@@ -197,6 +197,41 @@ def test_primitive_representations_count_is_power_of_two():
             assert len(reps) == 2**big, n
         else:
             assert reps == []
+
+
+_SPLIT_PRIMES = [p for p in primes_upto(400) if p % 4 == 1]
+_INERT_PRIMES = [q for q in primes_upto(100) if q % 4 == 3]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.sampled_from(_SPLIT_PRIMES), min_size=3, max_size=6, unique=True),
+       st.data(), st.sampled_from([1] + _INERT_PRIMES), st.integers(0, 6))
+def test_all_representations_with_many_split_primes(primes, data, q, g):
+    exps = data.draw(st.lists(st.integers(1, 3), min_size=len(primes), max_size=len(primes)))
+    n = 2**g * q * q * math.prod(p**e for p, e in zip(primes, exps))
+    reps = all_representations(n)
+    assert len(reps) == count_representations_by_divisors(n) == 4 * math.prod(e + 1 for e in exps)
+    pairs = [(r.a, r.b) for r in reps]
+    assert pairs == sorted(set(pairs))
+    for rep in reps:
+        assert rep.a**2 + rep.b**2 == n
+        assert rep.primitive == (math.gcd(rep.a, rep.b) == 1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.sampled_from(_SPLIT_PRIMES), min_size=3, max_size=6, unique=True),
+       st.data(), st.integers(0, 1))
+def test_primitive_representations_with_many_split_primes(primes, data, g):
+    exps = data.draw(st.lists(st.integers(1, 3), min_size=len(primes), max_size=len(primes)))
+    n = 2**g * math.prod(p**e for p, e in zip(primes, exps))
+    reps = primitive_representations(n)
+    assert len(reps) == 2 ** len(primes)
+    assert reps == [r for r in all_representations(n) if r.primitive and r.a > 0 and r.b > 0]
+    pairs = [(r.a, r.b) for r in reps]
+    assert pairs == sorted(set(pairs))
+    for rep in reps:
+        assert rep.a > 0 and rep.b > 0 and rep.a**2 + rep.b**2 == n
+        assert rep.primitive and math.gcd(rep.a, rep.b) == 1
 
 
 def _factor_pairs(n):
