@@ -8,9 +8,9 @@ deterministic envelope (sorted keys, sorted result lists). Exit codes:
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
-from dataclasses import asdict
 
 from . import gaussian as zi
 from .congruences import QuadCongruence, solve_linear, solve_quadratic
@@ -39,7 +39,13 @@ class _UsageError(Exception):
     pass
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and shared after it.
+
+    Parsing keeps no state in the parser, so `main` can run any number of
+    requests in one process; callers must not add arguments to it.
+    """
     parser = argparse.ArgumentParser(
         prog="quadres",
         description="Exact solvers for quadratic congruences, quadratic-residue "
@@ -146,8 +152,10 @@ def _residue_lines(rs) -> list[str]:
     return [str(x) for x in rs.residues]
 
 
-def _rep_payload(rep) -> dict:
-    return asdict(rep)
+def _fields(obj) -> dict:
+    # the result dataclasses hold only ints and bools: a shallow copy of the
+    # fields is all the payload needs, not a recursive deep copy
+    return dict(vars(obj))
 
 
 def _rep_lines(reps) -> list[str]:
@@ -190,7 +198,7 @@ def _cmd_two_squares(args):
         reps = primitive_representations(args.n)
     else:
         reps = [represent_prime(args.n)]
-    return [_rep_payload(rep) for rep in reps], _rep_lines(reps)
+    return [_fields(rep) for rep in reps], _rep_lines(reps)
 
 
 def _cmd_gaussian(args):
@@ -224,12 +232,12 @@ def _cmd_gaussian(args):
 
 def _cmd_pyth_triple(args):
     triple = pyth_triple(args.m, args.n)
-    return asdict(triple), [f"{triple.s} {triple.t} {triple.r}"]
+    return _fields(triple), [f"{triple.s} {triple.t} {triple.r}"]
 
 
 def _cmd_triples(args):
     triples = enumerate_primitive_triples(args.max)
-    return [asdict(t) for t in triples], [f"{t.s} {t.t} {t.r}" for t in triples]
+    return [_fields(t) for t in triples], [f"{t.s} {t.t} {t.r}" for t in triples]
 
 
 def _cmd_cz2(args):
@@ -237,22 +245,22 @@ def _cmd_cz2(args):
         args.c, args.d3, args.uv[0], args.uv[1], args.g,
         pyth_triple(args.triple[0], args.triple[1]),
     )
-    return asdict(sol), [f"{sol.x} {sol.y} {sol.z}"]
+    return _fields(sol), [f"{sol.x} {sol.y} {sol.z}"]
 
 
 def _cmd_zl(args):
     sol = zl_solution(args.l, args.a, args.b)
-    return asdict(sol), [f"{sol.x} {sol.y} {sol.z}"]
+    return _fields(sol), [f"{sol.x} {sol.y} {sol.z}"]
 
 
 def _cmd_quadruple(args):
     quad = pyth_quadruple(args.m, args.n, args.u, args.v)
-    return asdict(quad), [f"{quad.x} {quad.y} {quad.z} {quad.w}"]
+    return _fields(quad), [f"{quad.x} {quad.y} {quad.z} {quad.w}"]
 
 
 def _cmd_quadruples(args):
     quads = enumerate_quadruples(args.max)
-    return [asdict(q) for q in quads], [f"{q.x} {q.y} {q.z} {q.w}" for q in quads]
+    return [_fields(q) for q in quads], [f"{q.x} {q.y} {q.z} {q.w}" for q in quads]
 
 
 def _cmd_verify(args, parser):

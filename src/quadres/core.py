@@ -1,4 +1,5 @@
-"""Exact integer primitives: gcd machinery, modular arithmetic, factorization, CRT.
+"""Exact integer primitives: gcd machinery, modular arithmetic, the Jacobi
+symbol, factorization, CRT.
 
 All functions are pure and operate on Python's unbounded integers, so every
 result is exact; there is no overflow to detect.
@@ -11,7 +12,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import BudgetExceeded, NonCoprimeModuli, NotInvertible
+from .errors import BudgetExceeded, EvenModulus, NonCoprimeModuli, NotInvertible
 
 # Miller-Rabin on the first 13 primes is deterministic below psi_13 (OEIS
 # A014233; Sorenson and Webster, Math. Comp. 86, 2017); on 12, below 3.19e23.
@@ -63,6 +64,31 @@ def _miller_rabin(n: int, bases: tuple[int, ...]) -> bool:
     return True
 
 
+def jacobi(a: int, n: int) -> int:
+    """Jacobi symbol (a/n) for odd n != 0, computed without factoring.
+
+    Strips powers of two with the second supplement, swaps arguments with
+    reciprocity and reduces; the sign of n is discarded since (a/n) = (a/|n|).
+    """
+    if n % 2 == 0:
+        raise EvenModulus(f"modulus {n} must be odd and nonzero")
+    n = abs(n)
+    if n == 1:
+        return 1
+    a %= n
+    result = 1
+    while a != 0:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                result = -result
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            result = -result
+        a %= n
+    return result if n == 1 else 0
+
+
 def _strong_lucas_probable_prime(n: int) -> bool:
     """Strong Lucas test of the odd non-square n > 2, Selfridge's method A.
 
@@ -70,8 +96,6 @@ def _strong_lucas_probable_prime(n: int) -> bool:
     Q = (1 - D)/4. With n + 1 = d * 2^s, d odd, n passes when U_d = 0 or
     V_(d*2^r) = 0 (mod n) for some 0 <= r < s.
     """
-    from .symbols import jacobi  # symbols imports core
-
     D = 5
     while (j := jacobi(D, n)) != -1:
         if j == 0 and abs(D) != n:

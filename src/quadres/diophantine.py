@@ -35,16 +35,19 @@ def pyth_triple(m: int, n: int) -> PythTriple:
 
 
 def enumerate_primitive_triples(r_max: int) -> list[PythTriple]:
-    """All primitive triples with hypotenuse at most r_max, sorted by r."""
+    """All primitive triples with hypotenuse at most r_max, sorted by (r, t).
+
+    n runs over the values of opposite parity to m with m^2 + n^2 <= r_max,
+    so only the coprimality of (m, n) is left to test.
+    """
     if r_max < 1:
         raise ValueError("r_max must be positive")
     triples = []
-    m = 2
-    while m * m + 1 <= r_max:
-        for n in range(1, m):
-            if (m - n) % 2 == 1 and math.gcd(m, n) == 1 and m * m + n * n <= r_max:
-                triples.append(pyth_triple(m, n))
-        m += 1
+    for m in range(2, math.isqrt(r_max - 1) + 1):
+        mm = m * m
+        for n in range(1 + m % 2, min(m, math.isqrt(r_max - mm) + 1), 2):
+            if math.gcd(m, n) == 1:
+                triples.append(PythTriple(2 * m * n, mm - n * n, mm + n * n, m, n))
     triples.sort(key=lambda tr: (tr.r, tr.t))
     return triples
 
@@ -179,40 +182,39 @@ def enumerate_quadruples(w_max: int) -> list[PythQuadruple]:
     canonicalized so that 0 < x <= y <= z, deduplicated, sorted by (w, z, y, x).
 
     A zero coordinate degenerates to a plain Pythagorean triple and is left
-    to the triple enumerator. Parameters are scanned over
-    |m|, |n|, |u|, |v| <= isqrt(w_max), which is exhaustive because each
-    squared parameter is at most w.
+    to the triple enumerator. The parameters run over the ball
+    m^2 + n^2 + u^2 + v^2 <= w_max, which is exhaustive because that sum is w:
+    each one over range(-k, k + 1) with k the integer square root of what the
+    earlier ones leave of w_max. The scan is lexicographic in (m, n, u, v), and
+    each quadruple records the first parameters in that order that give it.
     """
     if w_max < 1:
         raise ValueError("w_max must be positive")
-    bound = math.isqrt(w_max)
-    span = range(-bound, bound + 1)
     seen: dict[tuple[int, int, int, int], PythQuadruple] = {}
-    for m in span:
+    km = math.isqrt(w_max)
+    for m in range(-km, km + 1):
         mm = m * m
-        for n in span:
-            mn = mm + n * n
-            if mn > w_max:
-                continue
+        kn = math.isqrt(w_max - mm)
+        for n in range(-kn, kn + 1):
+            nn = n * n
+            left = w_max - mm - nn
             gmn = math.gcd(m, n)
-            for u in span:
-                mnu = mn + u * u
-                if mnu > w_max:
-                    continue
-                for v in span:
-                    if mnu + v * v > w_max:
+            ku = math.isqrt(left)
+            for u in range(-ku, ku + 1):
+                uu = u * u
+                gmnu = math.gcd(gmn, u)
+                kv = math.isqrt(left - uu)
+                for v in range(-kv, kv + 1):
+                    if math.gcd(gmnu, v) != 1:
                         continue
-                    if math.gcd(gmn, math.gcd(u, v)) != 1:
+                    x = 2 * (m * n - u * v)
+                    y = mm - nn - uu + v * v
+                    z = 2 * (m * u + n * v)
+                    if x == 0 or y == 0 or z == 0 or math.gcd(x, y, z) != 1:
                         continue
-                    quad = pyth_quadruple(m, n, u, v)
-                    if not quad.primitive:
-                        continue
-                    xs = sorted((abs(quad.x), abs(quad.y), abs(quad.z)))
-                    if xs[0] == 0:
-                        continue
-                    key = (xs[0], xs[1], xs[2], quad.w)
+                    x, y, z = sorted((abs(x), abs(y), abs(z)))
+                    w = mm + nn + uu + v * v
+                    key = (x, y, z, w)
                     if key not in seen:
-                        seen[key] = PythQuadruple(
-                            xs[0], xs[1], xs[2], quad.w, m, n, u, v, True
-                        )
+                        seen[key] = PythQuadruple(x, y, z, w, m, n, u, v, True)
     return sorted(seen.values(), key=lambda q: (q.w, q.z, q.y, q.x))

@@ -1,6 +1,9 @@
+import hashlib
 import json
 
-from quadres import core
+import pytest
+
+from quadres import cli, core
 from quadres.cli import main
 
 
@@ -187,3 +190,104 @@ def test_usage_error_exit_code(capsys):
 def test_bad_parameters_is_domain_error(capsys):
     code, _, err = run(capsys, "pyth-triple", "4", "2")
     assert code == 1 and "error:" in err
+
+
+def test_parser_is_built_once_and_keeps_no_state(capsys):
+    cli.build_parser.cache_clear()
+    code, out, _ = run(capsys, "jacobi", "2", "15")
+    assert code == 0 and out == "1\n"
+    code, out, _ = run(capsys, "jacobi", "2")
+    assert code == 2 and out == ""
+    # the inner --json switches the outer namespace to JSON for this call only
+    code, env, _ = run(capsys, "verify", "--", "jacobi", "--json", "2", "15")
+    assert code == 0 and json.loads(env)["result"]["agree"] is True
+    code, out, _ = run(capsys, "sqrtmod", "61", "180")
+    assert code == 0 and out.split() == ["31", "41", "49", "59", "121", "131", "139", "149"]
+    code, out, _ = run(capsys, "triples", "--max", "13")
+    assert code == 0 and out.splitlines() == ["4 3 5", "12 5 13"]
+    assert cli.build_parser.cache_info().misses == 1
+
+
+# golden `--json` output: the bytes are part of the command's interface, so
+# the way payloads are built must not change them
+GOLDEN_JSON = {
+    ("pyth-triple", "2", "1"):
+        '{"command": "pyth-triple", "error": null, "inputs": {"m": 2, "n": 1}, '
+        '"result": {"m": 2, "n": 1, "r": 5, "s": 4, "t": 3}, "status": "ok"}',
+    ("pyth-triple", "7", "4"):
+        '{"command": "pyth-triple", "error": null, "inputs": {"m": 7, "n": 4}, '
+        '"result": {"m": 7, "n": 4, "r": 65, "s": 56, "t": 33}, "status": "ok"}',
+    ("triples", "--max", "30"):
+        '{"command": "triples", "error": null, "inputs": {"max": 30}, "result": ['
+        '{"m": 2, "n": 1, "r": 5, "s": 4, "t": 3}, {"m": 3, "n": 2, "r": 13, "s": 12, "t": 5}, '
+        '{"m": 4, "n": 1, "r": 17, "s": 8, "t": 15}, {"m": 4, "n": 3, "r": 25, "s": 24, "t": 7}, '
+        '{"m": 5, "n": 2, "r": 29, "s": 20, "t": 21}], "status": "ok"}',
+    ("cz2", "--c", "5", "--uv", "2", "1", "--triple", "2", "1"):
+        '{"command": "cz2", "error": null, "inputs": {"c": 5, "d3": 1, "g": 0, '
+        '"triple": [2, 1], "uv": [2, 1]}, "result": {"c": 5, "d3": 1, "g": 0, "u": 2, '
+        '"v": 1, "x": 2, "y": 11, "z": 5}, "status": "ok"}',
+    ("cz2", "--c", "50", "--d3", "5", "--uv", "1", "0", "--g", "1", "--triple", "3", "2"):
+        '{"command": "cz2", "error": null, "inputs": {"c": 50, "d3": 5, "g": 1, '
+        '"triple": [3, 2], "uv": [1, 0]}, "result": {"c": 50, "d3": 5, "g": 1, "u": 1, '
+        '"v": 0, "x": 85, "y": 35, "z": 13}, "status": "ok"}',
+    ("zl", "3", "2", "1"):
+        '{"command": "zl", "error": null, "inputs": {"a": 2, "b": 1, "l": 3}, '
+        '"result": {"a": 2, "b": 1, "l": 3, "x": 2, "y": 11, "z": 5}, "status": "ok"}',
+    ("zl", "5", "4", "1"):
+        '{"command": "zl", "error": null, "inputs": {"a": 4, "b": 1, "l": 5}, '
+        '"result": {"a": 4, "b": 1, "l": 5, "x": 404, "y": 1121, "z": 17}, "status": "ok"}',
+    ("quadruple", "1", "1", "1", "0"):
+        '{"command": "quadruple", "error": null, "inputs": {"m": 1, "n": 1, "u": 1, "v": 0}, '
+        '"result": {"m": 1, "n": 1, "primitive": true, "u": 1, "v": 0, "w": 3, "x": 2, '
+        '"y": -1, "z": 2}, "status": "ok"}',
+    ("quadruple", "1", "1", "1", "1"):
+        '{"command": "quadruple", "error": null, "inputs": {"m": 1, "n": 1, "u": 1, "v": 1}, '
+        '"result": {"m": 1, "n": 1, "primitive": false, "u": 1, "v": 1, "w": 4, "x": 0, '
+        '"y": 0, "z": 4}, "status": "ok"}',
+    ("quadruples", "--max", "9"):
+        '{"command": "quadruples", "error": null, "inputs": {"max": 9}, "result": ['
+        '{"m": -1, "n": -1, "primitive": true, "u": -1, "v": 0, "w": 3, "x": 1, "y": 2, "z": 2}, '
+        '{"m": -2, "n": -1, "primitive": true, "u": -1, "v": -1, "w": 7, "x": 2, "y": 3, "z": 6}, '
+        '{"m": -2, "n": -1, "primitive": true, "u": 0, "v": -2, "w": 9, "x": 4, "y": 4, "z": 7}, '
+        '{"m": -2, "n": -2, "primitive": true, "u": -1, "v": 0, "w": 9, "x": 1, "y": 4, "z": 8}], '
+        '"status": "ok"}',
+    ("two-squares", "list", "25"):
+        '{"command": "two-squares", "error": null, "inputs": {"action": "list", "n": 25}, '
+        '"result": [{"a": -5, "b": 0, "primitive": false}, {"a": -4, "b": -3, "primitive": true}, '
+        '{"a": -4, "b": 3, "primitive": true}, {"a": -3, "b": -4, "primitive": true}, '
+        '{"a": -3, "b": 4, "primitive": true}, {"a": 0, "b": -5, "primitive": false}, '
+        '{"a": 0, "b": 5, "primitive": false}, {"a": 3, "b": -4, "primitive": true}, '
+        '{"a": 3, "b": 4, "primitive": true}, {"a": 4, "b": -3, "primitive": true}, '
+        '{"a": 4, "b": 3, "primitive": true}, {"a": 5, "b": 0, "primitive": false}], '
+        '"status": "ok"}',
+    ("two-squares", "primitive", "65"):
+        '{"command": "two-squares", "error": null, "inputs": {"action": "primitive", "n": 65}, '
+        '"result": [{"a": 1, "b": 8, "primitive": true}, {"a": 4, "b": 7, "primitive": true}, '
+        '{"a": 7, "b": 4, "primitive": true}, {"a": 8, "b": 1, "primitive": true}], '
+        '"status": "ok"}',
+    ("two-squares", "represent-prime", "13"):
+        '{"command": "two-squares", "error": null, "inputs": {"action": "represent-prime", '
+        '"n": 13}, "result": [{"a": 3, "b": 2, "primitive": true}], "status": "ok"}',
+}
+
+# the same on larger grids, as SHA-256 of the output
+GOLDEN_JSON_SHA256 = {
+    ("triples", "--max", "1000"):
+        "3e1dea21c46612b45c9b23d84eb9b6b2e0413e3855291861b9f244ead4f179a7",
+    ("quadruples", "--max", "40"):
+        "aaf6df5654704810f9e974fdf2bb9e6451a164024eb1ca305d0afc60d4e00160",
+    ("two-squares", "list", "5525"):
+        "80bc5470aad497bac30b61de40b5909d1566752aa4e01470362c913bc496390e",
+}
+
+
+@pytest.mark.parametrize("argv", list(GOLDEN_JSON), ids=" ".join)
+def test_json_output_is_byte_identical(capsys, argv):
+    code, out, _ = run(capsys, *argv, "--json")
+    assert code == 0 and out == GOLDEN_JSON[argv] + "\n"
+
+
+@pytest.mark.parametrize("argv", list(GOLDEN_JSON_SHA256), ids=" ".join)
+def test_json_output_digest_is_unchanged(capsys, argv):
+    code, out, _ = run(capsys, *argv, "--json")
+    assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == GOLDEN_JSON_SHA256[argv]

@@ -4,6 +4,8 @@ import pytest
 
 from conftest import rn_poly as _rn_poly
 from quadres.diophantine import (
+    PythQuadruple,
+    PythTriple,
     cz2_solution,
     cz2_solvable,
     enumerate_primitive_triples,
@@ -271,3 +273,66 @@ def test_enumerate_quadruples_coverage():
         assert q.x**2 + q.y**2 + q.z**2 == q.w**2
         assert 0 < q.x <= q.y <= q.z
         assert math.gcd(math.gcd(q.x, q.y), q.z) == 1
+
+
+def _box_scan_quadruples(w_max):
+    """The 4-D box scan that enumerate_quadruples once ran: every (m, n, u, v)
+    with |m|, |n|, |u|, |v| <= isqrt(w_max), skipping points outside the ball."""
+    bound = math.isqrt(w_max)
+    span = range(-bound, bound + 1)
+    seen = {}
+    for m in span:
+        for n in span:
+            for u in span:
+                for v in span:
+                    if m * m + n * n + u * u + v * v > w_max:
+                        continue
+                    if math.gcd(math.gcd(m, n), math.gcd(u, v)) != 1:
+                        continue
+                    quad = pyth_quadruple(m, n, u, v)
+                    if not quad.primitive:
+                        continue
+                    xs = sorted((abs(quad.x), abs(quad.y), abs(quad.z)))
+                    if xs[0] == 0:
+                        continue
+                    key = (xs[0], xs[1], xs[2], quad.w)
+                    if key not in seen:
+                        seen[key] = PythQuadruple(xs[0], xs[1], xs[2], quad.w, m, n, u, v, True)
+    return sorted(seen.values(), key=lambda q: (q.w, q.z, q.y, q.x))
+
+
+def test_enumerate_quadruples_matches_the_box_scan():
+    # the same quadruples in the same order, each with the same (m, n, u, v):
+    # the first in lexicographic order that generates it
+    for w_max in range(1, 61):
+        assert enumerate_quadruples(w_max) == _box_scan_quadruples(w_max), w_max
+
+
+def _plain_triples(r_max):
+    triples = [
+        PythTriple(2 * m * n, m * m - n * n, m * m + n * n, m, n)
+        for m in range(2, math.isqrt(r_max) + 1)
+        for n in range(1, m)
+        if (m - n) % 2 == 1 and math.gcd(m, n) == 1 and m * m + n * n <= r_max
+    ]
+    return sorted(triples, key=lambda tr: (tr.r, tr.t))
+
+
+def test_enumerate_primitive_triples_matches_a_plain_scan_at_the_boundaries():
+    # r_max exactly at m^2 + 1, the first hypotenuse of a new m, and exactly at
+    # m^2 + n^2, the last n admitted for that m, and one past or short of each
+    bounds = {1, 2, 4, 5}
+    for m in range(2, 20):
+        for n in range(1, m):
+            for r in (m * m + 1, m * m + n * n):
+                bounds.update((r - 1, r, r + 1))
+    for r_max in sorted(bounds):
+        assert enumerate_primitive_triples(r_max) == _plain_triples(r_max), r_max
+
+
+@pytest.mark.parametrize("bad", [0, -1, -25])
+def test_enumerators_refuse_a_nonpositive_bound(bad):
+    with pytest.raises(ValueError):
+        enumerate_primitive_triples(bad)
+    with pytest.raises(ValueError):
+        enumerate_quadruples(bad)

@@ -5,6 +5,7 @@ import ast
 import pathlib
 
 import quadres
+from quadres import core, symbols
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "quadres"
 
@@ -33,8 +34,8 @@ def test_only_cli_imports_oracle():
 
 
 def test_core_imports_only_errors_at_module_level():
-    # symbols imports core, so the Jacobi symbol in core's Lucas test is
-    # imported inside the function; a module-level import would be a cycle
+    # core is the bottom layer: the Jacobi symbol that its Lucas test needs
+    # lives in core, and symbols imports it from there
     internal = {
         name
         for node in ast.parse((SRC / "core.py").read_text()).body
@@ -46,9 +47,7 @@ def test_core_imports_only_errors_at_module_level():
 
 
 def test_no_module_imports_inside_a_function():
-    # a function-level import hides an import cycle; the one kept is core's
-    # Lucas test, which needs the Jacobi symbol from symbols, and symbols
-    # imports core
+    # a function-level import hides an import cycle
     nested = sorted(
         (path.name, func.name, name)
         for path in SRC.glob("*.py")
@@ -58,10 +57,11 @@ def test_no_module_imports_inside_a_function():
         if isinstance(node, (ast.Import, ast.ImportFrom))
         for name in _imported_modules(node)
     )
-    assert nested == [
-        ("core.py", "_strong_lucas_probable_prime", "quadres.symbols"),
-        ("core.py", "_strong_lucas_probable_prime", "quadres.symbols.jacobi"),
-    ]
+    assert nested == []
+
+
+def test_jacobi_is_one_function_re_exported():
+    assert quadres.jacobi is symbols.jacobi is core.jacobi
 
 
 def test_every_exported_name_resolves():
