@@ -5,10 +5,8 @@ from .core import (
     Factorization,
     ResidueSet,
     crt_combine,
-    ext_gcd,
     factorize,
     is_prime,
-    mod_inverse,
 )
 from .congruences import (
     QuadCongruence,
@@ -83,7 +81,6 @@ __all__ = [
     "div_rem",
     "enumerate_primitive_triples",
     "enumerate_quadruples",
-    "ext_gcd",
     "factor",
     "factorize",
     "format_gaussian",
@@ -96,7 +93,6 @@ __all__ = [
     "is_unit",
     "jacobi",
     "legendre_euler",
-    "mod_inverse",
     "norm",
     "parse_gaussian",
     "primitive_representations",

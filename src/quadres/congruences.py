@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import ResidueSet, mod_inverse
+from .core import ResidueSet
 from .errors import NotQuadratic
 from .sqrtmod import _quadratic_roots
 
@@ -47,14 +47,9 @@ def solve_linear(a: int, b: int, n: int) -> ResidueSet:
     g = math.gcd(a, n)
     if b % g != 0:
         return ResidueSet(n, ())
-    if a == 0:
-        return ResidueSet(n, tuple(range(n)))
     step = n // g
-    if step == 1:
-        x0 = 0
-    else:
-        x0 = (b // g) * mod_inverse(a // g, step) % step
-    return ResidueSet(n, tuple(x0 + k * step for k in range(g)))
+    x0 = b // g * pow(a // g, -1, step) % step
+    return ResidueSet(n, tuple(range(x0, n, step)))
 
 
 def solve_quadratic(q: QuadCongruence) -> ResidueSet:

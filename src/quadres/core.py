@@ -1,5 +1,5 @@
-"""Exact integer primitives: gcd machinery, modular arithmetic, the Jacobi
-symbol, factorization, CRT.
+"""Exact integer primitives: the 2-adic split, the Jacobi symbol, primality,
+factorization, CRT.
 
 All functions are pure and operate on Python's unbounded integers, so every
 result is exact; there is no overflow to detect.
@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import BudgetExceeded, EvenModulus, NonCoprimeModuli, NotInvertible
+from .errors import BudgetExceeded, EvenModulus, NonCoprimeModuli
 
 # Miller-Rabin on the first 13 primes is deterministic below psi_13 (OEIS
 # A014233; Sorenson and Webster, Math. Comp. 86, 2017); on 12, below 3.19e23.
@@ -44,13 +44,15 @@ def is_prime(n: int) -> bool:
     )
 
 
+def _odd_part(m: int) -> tuple[int, int]:
+    """(d, s) with m = d * 2^s and d odd, for m >= 1."""
+    s = (m & -m).bit_length() - 1
+    return m >> s, s
+
+
 def _miller_rabin(n: int, bases: tuple[int, ...]) -> bool:
     """True when the odd n > 2 is a strong probable prime to every base."""
-    d = n - 1
-    s = 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
+    d, s = _odd_part(n - 1)
     for a in bases:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
@@ -78,6 +80,7 @@ def jacobi(a: int, n: int) -> int:
     a %= n
     result = 1
     while a != 0:
+        # not _odd_part: a call per step here costs a third of jacobi's time
         while a % 2 == 0:
             a //= 2
             if n % 8 in (3, 5):
@@ -102,11 +105,7 @@ def _strong_lucas_probable_prime(n: int) -> bool:
             return False
         D = -D - 2 if D > 0 else 2 - D
     Q = (1 - D) // 4
-    d = n + 1
-    s = 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
+    d, s = _odd_part(n + 1)
     # U_1 = 1, V_1 = P = 1; doubling: U_2k = U_k V_k, V_2k = V_k^2 - 2Q^k;
     # stepping: U_(k+1) = (U_k + V_k)/2, V_(k+1) = (D U_k + V_k)/2.
     u, v, qk = 1, 1, Q % n
@@ -124,36 +123,6 @@ def _strong_lucas_probable_prime(n: int) -> bool:
         if v == 0:
             return True
     return False
-
-
-def ext_gcd(a: int, b: int) -> tuple[int, int, int]:
-    """Extended Euclid: return (g, s, t) with g = gcd(|a|, |b|) and s*a + t*b = g.
-
-    gcd(0, 0) is taken to be 0 with coefficients (0, 0).
-    """
-    if a == 0 and b == 0:
-        return 0, 0, 0
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r != 0:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    if old_r < 0:
-        return -old_r, -old_s, -old_t
-    return old_r, old_s, old_t
-
-
-def mod_inverse(a: int, n: int) -> int:
-    """Multiplicative inverse of a modulo n, in [1, n)."""
-    if n < 2:
-        raise ValueError("modulus must be at least 2")
-    g, s, _ = ext_gcd(a % n, n)
-    if g != 1:
-        raise NotInvertible(f"{a} is not invertible modulo {n}")
-    return s % n
 
 
 @dataclass(frozen=True)
@@ -207,12 +176,8 @@ def factorize(n: int) -> Factorization:
         raise ValueError("0 has no prime factorization")
     if n < 0:
         return Factorization(-1, factorize(-n).factors)
-    m = n
+    m, e = _odd_part(n)
     factors = []
-    e = 0
-    while m % 2 == 0:
-        m //= 2
-        e += 1
     if e:
         factors.append((2, e))
     for p in _ODD_PRIMES:
@@ -344,17 +309,13 @@ def crt_combine(components: list[ResidueSet] | tuple[ResidueSet, ...]) -> Residu
     if not components:
         raise ValueError("at least one component is required")
     mods = [comp.modulus for comp in components]
+    if min(mods) < 1:
+        raise ValueError(f"moduli must be positive, got {min(mods)}")
     for m1, m2 in itertools.combinations(mods, 2):
         if math.gcd(m1, m2) != 1:
             raise NonCoprimeModuli(f"moduli {m1} and {m2} are not coprime")
     n = math.prod(mods)
-    basis = []
-    for comp in components:
-        ni = n // comp.modulus
-        if comp.modulus == 1:
-            basis.append(0)
-        else:
-            basis.append(ni * mod_inverse(ni, comp.modulus))
+    basis = [n // m * pow(n // m, -1, m) for m in mods]
     sums = [0]
     for comp, w in zip(components, basis):
         sums = [s + x * w for s in sums for x in comp.residues]

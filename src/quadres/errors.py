@@ -10,10 +10,6 @@ class NumberTheoryError(ValueError):
     """Base class for domain errors raised by this library."""
 
 
-class NotInvertible(NumberTheoryError):
-    """The element shares a factor with the modulus, so no inverse exists."""
-
-
 class NonCoprimeModuli(NumberTheoryError):
     """CRT components must have pairwise coprime moduli."""
 

@@ -1,6 +1,8 @@
 """Reference routes used by tests and `verify`.
 
-Each shares no algorithm with the production route it checks: the `brute_*`
+Each shares no algorithm with the production route it checks: the extended
+Euclid (Bezout) route `ext_gcd` against the builtin `pow(., -1, m)` that
+`core.crt_combine` and `congruences.solve_linear` call; the `brute_*`
 definition-level scans; Gauss's lemma against Euler's criterion; the Jacobi
 symbol by definition (it does call `factorize` and `legendre_euler`) against
 reciprocity; r(n) by divisor sums against the exponent formula; the
@@ -29,6 +31,26 @@ SCAN_BUDGET = 10**6
 def _check_budget(n: int) -> None:
     if n > SCAN_BUDGET:
         raise BudgetExceeded(f"oracle scan of {n} exceeds budget {SCAN_BUDGET}")
+
+
+def ext_gcd(a: int, b: int) -> tuple[int, int, int]:
+    """Extended Euclid: return (g, s, t) with g = gcd(|a|, |b|) and s*a + t*b = g.
+
+    gcd(0, 0) is taken to be 0 with coefficients (0, 0).
+    """
+    if a == 0 and b == 0:
+        return 0, 0, 0
+    old_r, r = a, b
+    old_s, s = 1, 0
+    old_t, t = 0, 1
+    while r != 0:
+        q = old_r // r
+        old_r, r = r, old_r - q * r
+        old_s, s = s, old_s - q * s
+        old_t, t = t, old_t - q * t
+    if old_r < 0:
+        return -old_r, -old_s, -old_t
+    return old_r, old_s, old_t
 
 
 def brute_sqrt_mod(a: int, n: int) -> ResidueSet:

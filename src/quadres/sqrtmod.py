@@ -29,18 +29,14 @@ from __future__ import annotations
 
 import math
 
-from .core import ResidueSet, crt_combine, factorize
+from .core import ResidueSet, _odd_part, crt_combine, factorize
 from .errors import NotCoprime
 from .symbols import _check_odd_prime, legendre_euler
 
 
 def _tonelli_shanks(a: int, p: int) -> int:
     # a is a known quadratic residue of the odd prime p
-    q = p - 1
-    s = 0
-    while q % 2 == 0:
-        q //= 2
-        s += 1
+    q, s = _odd_part(p - 1)
     z = 2
     while pow(z, (p - 1) // 2, p) != p - 1:
         z += 1

@@ -31,11 +31,7 @@ class TwoSquareRep:
 
 def is_sum_of_two_squares(n: int) -> bool:
     """True iff every prime p = 3 (mod 4) divides n to an even power."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    if n <= 1:
-        return True
-    return all(e % 2 == 0 for p, e in factorize(n).factors if p % 4 == 3)
+    return count_representations(n) > 0
 
 
 def has_primitive_representation(n: int) -> bool:

@@ -6,21 +6,21 @@ from hypothesis import given, strategies as st
 
 from conftest import primes_upto, time_limit
 from quadres import core
+from quadres.congruences import solve_linear
 from quadres.core import (
     ResidueSet,
+    _odd_part,
     crt_combine,
-    ext_gcd,
     factorize,
     is_prime,
-    mod_inverse,
 )
 from quadres.errors import (
     BudgetExceeded,
     NonCoprimeModuli,
-    NotInvertible,
     NotOddPrime,
     NotPrime,
 )
+from quadres.oracle import ext_gcd
 from quadres.symbols import legendre_euler
 from quadres.two_squares import represent_prime
 
@@ -57,28 +57,42 @@ def test_ext_gcd_property(a, b):
     assert s * a + t * b == g
 
 
+# The modular inverse is the builtin pow(a, -1, n); solve_linear(a, 1, n)
+# is the library's route to it, and oracle.ext_gcd its Bezout reference.
 def test_mod_inverse_examples():
-    assert mod_inverse(3, 1235) == 412
-    assert mod_inverse(20, 9) == 5
+    assert solve_linear(3, 1, 1235).residues == (412,)
+    assert solve_linear(20, 1, 9).residues == (5,)
     for n in (2, 7, 100, 1235):
-        assert mod_inverse(1, n) == 1
+        assert solve_linear(1, 1, n).residues == (1,)
 
 
 def test_mod_inverse_errors():
-    with pytest.raises(NotInvertible):
-        mod_inverse(6, 9)
+    assert solve_linear(6, 1, 9).residues == ()
     with pytest.raises(ValueError):
-        mod_inverse(1, 1)
+        solve_linear(1, 1, 1)
 
 
 @given(st.integers(-10**6, 10**6), st.integers(2, 10**4))
 def test_mod_inverse_property(a, n):
-    if math.gcd(a, n) == 1:
-        u = mod_inverse(a, n)
-        assert 1 <= u < n and a * u % n == 1
-    else:
-        with pytest.raises(NotInvertible):
-            mod_inverse(a, n)
+    g, s, _ = ext_gcd(a % n, n)
+    expected = (s % n,) if g == 1 else ()
+    assert solve_linear(a, 1, n).residues == expected
+
+
+def test_odd_part_matches_the_division_loop():
+    def by_division(m):
+        s = 0
+        while m % 2 == 0:
+            m //= 2
+            s += 1
+        return m, s
+
+    cases = list(range(1, 4097))
+    cases += [d << k for d in range(1, 100, 2) for k in range(301)]
+    for m in cases:
+        d, s = _odd_part(m)
+        assert (d, s) == by_division(m), m
+        assert d % 2 == 1
 
 
 def test_factorize_examples():
@@ -302,6 +316,10 @@ def test_crt_combine_errors():
         crt_combine([ResidueSet(4, (1,)), ResidueSet(6, (1,))])
     with pytest.raises(ValueError):
         crt_combine([])
+    with pytest.raises(ValueError):
+        crt_combine([ResidueSet(-7, (2,)), ResidueSet(5, (1,))])
+    with pytest.raises(ValueError):
+        crt_combine([ResidueSet(0, (0,))])
 
 
 def test_crt_combine_size_and_membership():

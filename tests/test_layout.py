@@ -1,11 +1,12 @@
 """Package layout: the reference routes in `oracle` stay out of the fast paths,
-every exported name resolves, and the cached functions keep their caches."""
+every exported name resolves, every error type is raised somewhere, and the
+cached functions keep their caches."""
 
 import ast
 import pathlib
 
 import quadres
-from quadres import core, symbols
+from quadres import core, errors, symbols
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "quadres"
 
@@ -73,3 +74,22 @@ def test_cached_functions_expose_cache_info():
     # the traced benchmark and the observability aim read these hit rates
     for name in ("factorize", "is_prime", "represent_prime"):
         assert callable(getattr(quadres, name).cache_info), name
+
+
+def test_every_error_class_is_raised():
+    # an error type that nothing raises is dead code
+    raised = {
+        exc.id
+        for path in SRC.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Raise)
+        and isinstance(exc := getattr(node.exc, "func", node.exc), ast.Name)
+    }
+    defined = {
+        name
+        for name, value in vars(errors).items()
+        if isinstance(value, type)
+        and issubclass(value, errors.NumberTheoryError)
+        and value is not errors.NumberTheoryError
+    }
+    assert sorted(defined - raised) == []

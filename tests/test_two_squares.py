@@ -23,6 +23,8 @@ def test_is_sum_of_two_squares_examples():
     assert is_sum_of_two_squares(0)
     assert not is_sum_of_two_squares(21)
     assert is_sum_of_two_squares(45)
+    with pytest.raises(ValueError):
+        is_sum_of_two_squares(-1)
 
 
 def test_is_sum_of_two_squares_matches_scan():
