@@ -7,6 +7,7 @@ factorization into a unit times canonical prime powers.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .core import factorize, is_prime
@@ -79,7 +80,9 @@ def associates(xi: GaussianInt) -> set[GaussianInt]:
 
 
 # The hot loops below (Euclid, and exact division in factor) run on
-# (re, im) int pairs and build a GaussianInt only for the caller.
+# (re, im) int pairs and build a GaussianInt only for the caller. gcd starts
+# from the gcd of the two norms, one math.gcd in C, which skips Euclid when
+# the norms are coprime and otherwise keeps its operands near that gcd's size.
 
 
 def _canonical_ints(x: int, y: int) -> tuple[int, int]:
@@ -126,15 +129,35 @@ def div_rem(alpha: GaussianInt, beta: GaussianInt) -> tuple[GaussianInt, Gaussia
     return GaussianInt(q1, q2), GaussianInt(r1, r2)
 
 
-def gcd(alpha: GaussianInt, beta: GaussianInt) -> GaussianInt:
-    """A greatest common divisor by the Euclidean algorithm, in canonical form."""
-    a, b, c, d = alpha.re, alpha.im, beta.re, beta.im
-    if not (a or b or c or d):
-        raise BothZero("gcd(0, 0) is undefined")
+def _euclid_ints(a: int, b: int, c: int, d: int) -> tuple[int, int]:
+    # a gcd of a + b*i and c + d*i, not both zero, in no particular associate
     while c or d:
         _, _, r1, r2 = _div_rem_ints(a, b, c, d)
         a, b, c, d = c, d, r1, r2
-    return GaussianInt(*_canonical_ints(a, b))
+    return a, b
+
+
+def gcd(alpha: GaussianInt, beta: GaussianInt) -> GaussianInt:
+    """A greatest common divisor, in canonical form.
+
+    Every common divisor gamma divides N(gamma), which divides
+    g = gcd(N(alpha), N(beta)), so gcd(alpha, beta) = gcd(gcd(alpha, g), beta)
+    (Cohen, A Course in Computational Algebraic Number Theory, 1.3). Coprime
+    norms (g = 1) need no Euclid step. When g^2 is below both norms, Euclid
+    runs on (alpha, g), then on (beta, gcd(alpha, g)), so every division is
+    by an element of norm at most g^2. Otherwise, as for an associate or a
+    multiple of the other operand, it runs on (alpha, beta) directly.
+    """
+    a, b, c, d = alpha.re, alpha.im, beta.re, beta.im
+    n1, n2 = a * a + b * b, c * c + d * d
+    if not (n1 or n2):
+        raise BothZero("gcd(0, 0) is undefined")
+    g = math.gcd(n1, n2)
+    if g == 1:
+        return ONE
+    if g * g < n1 and g * g < n2:
+        a, b, c, d = c, d, *_euclid_ints(a, b, g, 0)
+    return GaussianInt(*_canonical_ints(*_euclid_ints(a, b, c, d)))
 
 
 def is_gaussian_prime(xi: GaussianInt) -> bool:

@@ -35,9 +35,12 @@ def is_sum_of_two_squares(n: int) -> bool:
 
 
 def has_primitive_representation(n: int) -> bool:
-    """True iff n or n/2 is odd and divisible only by primes p = 1 (mod 4)."""
-    if n < 1:
-        raise ValueError("n must be positive")
+    """True iff n or n/2 is odd and divisible only by primes p = 1 (mod 4);
+    False at n = 0, since gcd(0, 0) = 0."""
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    if n == 0:
+        return False
     m = n if n % 2 == 1 else n // 2
     if m % 2 == 0:
         return False
@@ -142,10 +145,13 @@ def all_representations(n: int) -> list[TwoSquareRep]:
     """Every ordered signed (A, B) with A^2 + B^2 = n, sorted lexicographically.
 
     Enumerates unit choices and exponent splits e' + e'' = e over the
-    Gaussian factorization of n; the list length equals r(n).
+    Gaussian factorization of n; the list length equals r(n), so n = 0
+    gives the one pair (0, 0).
     """
-    if n < 1:
-        raise ValueError("n must be positive")
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    if n == 0:
+        return [TwoSquareRep(0, 0, False)]
     g, inert, split = _split_factorization(n)
     if inert is None:
         return []
@@ -166,10 +172,8 @@ def primitive_representations(n: int) -> list[TwoSquareRep]:
 
     Exponents go entirely to one conjugate per split prime, so there are
     2^R of them (R = number of distinct primes p = 1 (mod 4) dividing n),
-    counted as ordered positive pairs.
+    counted as ordered positive pairs; n = 0 has none.
     """
-    if n < 1:
-        raise ValueError("n must be positive")
     if not has_primitive_representation(n):
         return []
     g, _, split = _split_factorization(n)

@@ -99,6 +99,12 @@ def test_two_squares_actions(capsys):
     assert code == 0 and out.splitlines() == ["3 4", "4 3"]
     code, env, _ = run_json(capsys, "two-squares", "list", "3")
     assert code == 0 and env["result"] == []
+    code, out, _ = run(capsys, "two-squares", "list", "0")
+    assert code == 0 and out == "0 0\n"
+    code, env, _ = run_json(capsys, "two-squares", "primitive", "0")
+    assert code == 0 and env["result"] == []
+    code, out, err = run(capsys, "two-squares", "list", "-1")
+    assert code == 1 and out == "" and "nonnegative" in err
 
 
 def test_gaussian_actions(capsys):
@@ -152,7 +158,8 @@ def test_verify_agreement(capsys):
     code, out, _ = run(capsys, "verify", "solve-quadratic", "3", "7", "-1", "--mod", "15")
     assert code == 0 and "agree: true" in out
     for action, n in (("count", "25"), ("list", "50"), ("primitive", "65"),
-                      ("represent-prime", "13")):
+                      ("represent-prime", "13"), ("count", "0"), ("list", "0"),
+                      ("primitive", "0")):
         code, out, _ = run(capsys, "verify", "two-squares", action, n)
         assert code == 0 and "agree: true" in out, (action, n)
     code, out, _ = run(capsys, "verify", "jacobi", "365", "1847")

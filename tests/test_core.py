@@ -1,5 +1,6 @@
 import math
 import random
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, strategies as st
@@ -280,6 +281,86 @@ def test_factorize_negative_reuses_the_cache_for_n(monkeypatch):
     f = factorize(-n)
     assert f.sign == -1 and f.factors == ((10007, 1), (10009, 1))
     assert calls == [n]
+
+
+def test_prime_blocks_cover_the_trial_primes_in_order():
+    blocks = [block for block, _ in core._PRIME_BLOCKS]
+    assert [p for block in blocks for p in block] == list(core._ODD_PRIMES)
+    assert {len(block) for block in blocks[:-1]} == {32} and 0 < len(blocks[-1]) <= 32
+    assert all(product == math.prod(block) for block, product in core._PRIME_BLOCKS)
+
+
+def _block_gcds(monkeypatch):
+    # records the gcds that factorize takes with a block product
+    products = {product for _, product in core._PRIME_BLOCKS}
+    calls = []
+
+    def gcd(*args):
+        if args[-1] in products:
+            calls.append(args)
+        return math.gcd(*args)
+
+    monkeypatch.setattr(core, "math", SimpleNamespace(**{**vars(math), "gcd": gcd}))
+    return calls
+
+
+def test_factorize_takes_one_gcd_per_block(monkeypatch):
+    calls = _block_gcds(monkeypatch)
+    n = 999983 * 1000003
+    assert core.factorize.__wrapped__(n).factors == ((999983, 1), (1000003, 1))
+    assert len(calls) == len(core._PRIME_BLOCKS) == 18 < len(core._ODD_PRIMES) == 563
+
+
+def test_factorize_of_small_n_takes_one_block(monkeypatch):
+    # below 139^2, the square of the second block's least prime, trial
+    # division stops after the first block
+    calls = _block_gcds(monkeypatch)
+    for n in (2, 3 * 5 * 7, 137 * 139, 19321 - 2, 4093, 2 * 4099):
+        calls.clear()
+        assert core.factorize.__wrapped__(n).value() == n
+        assert len(calls) <= 1, n
+
+
+def _block_edge_cases():
+    blocks = [block for block, _ in core._PRIME_BLOCKS]
+    below, above = 16777213, 16777259  # the primes next to 2^24
+    cases = [1, 4093, 4093**2, 4093 * 4099, 4093**3 * 4099, 4091 * 4093 * 4099]
+    cases += [2**k for k in (1, 2, 31, 32, 100)]
+    for left, right in zip(blocks, blocks[1:]):
+        p, q = left[-1], right[0]
+        cases += [p * q, p * p, q * q, 3 * p * q, 2**7 * p**2 * q, p * q * below]
+    for block in blocks:
+        p, q = block[0], block[-1]
+        cases += [p**5, p * q, p**2 * q**3, p * block[len(block) // 2] * q]
+    for c in (below, above, 4093 * 4099, 4099 * 4111):
+        cases += [c, 3 * c, 2**5 * 4093 * c, 139 * 4093 * c, 3**4 * c * c]
+    return cases
+
+
+def test_factorize_at_block_edges_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    for n in _block_edge_cases():
+        f = factorize(n)
+        assert f.sign == 1 and f.factors == tuple(sorted(sympy.factorint(n).items())), n
+        assert factorize(-n) == core.Factorization(-1, f.factors), n
+
+
+def test_factorize_block_edge_golden():
+    assert factorize(1) == core.Factorization(1, ())
+    assert factorize(-1) == core.Factorization(-1, ())
+    assert factorize(2**100).factors == ((2, 100),)
+    assert factorize(-(2**31)) == core.Factorization(-1, ((2, 31),))
+    assert factorize(4093).factors == ((4093, 1),)
+    assert factorize(4093**2).factors == ((4093, 2),)
+    assert factorize(4093 * 4099).factors == ((4093, 1), (4099, 1))
+    # 137 ends the first block and 139 starts the second
+    assert factorize(137 * 139).factors == ((137, 1), (139, 1))
+    assert factorize(-(2**3) * 137**2 * 139).factors == ((2, 3), (137, 2), (139, 1))
+    # 3 * 5 * 7 share the first block; 16777213 < 2^24 < 16777259 are prime
+    assert factorize(3**4 * 5 * 7**2).factors == ((3, 4), (5, 1), (7, 2))
+    assert factorize(3 * 16777213).factors == ((3, 1), (16777213, 1))
+    assert factorize(4093 * 16777259).factors == ((4093, 1), (16777259, 1))
+    assert factorize(3 * 4099 * 4111).factors == ((3, 1), (4099, 1), (4111, 1))
 
 
 def test_is_prime_matches_sympy_below_psi13():

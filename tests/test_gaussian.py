@@ -1,12 +1,15 @@
 import math
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import time_limit
 
+from quadres import gaussian
 from quadres.errors import BothZero, ZeroArgument, ZeroOrUnit
 from quadres.gaussian import (
+    UNITS,
     GaussianInt,
     associates,
     canonical_associate,
@@ -177,6 +180,105 @@ def test_gcd_matches_sympy_with_a_planted_factor(g1, g2, a1, a2, b1, b2):
     g = gcd(alpha, beta)
     assert (g.re, g.im) == (int(expected.x), int(expected.y))
     assert _divides(gamma, g)
+
+
+def test_gcd_of_conjugates_and_of_equal_norms():
+    # N(2+i) = N(2-i) = 5, so the gcd of the norms is 5 but the gcd is 1
+    assert gcd(Z(2, 1), Z(2, -1)) == Z(1, 0)
+    assert gcd(Z(1, 2), Z(5, 0)) == Z(1, 2)
+    assert gcd(Z(5, 0), Z(1, 2)) == Z(1, 2)
+    assert gcd(Z(2, 1) ** 3, Z(2, -1) ** 2 * Z(2, 1)) == Z(2, 1)
+
+
+def test_gcd_with_shared_inert_and_ramified_factors():
+    pairs = [(Z(7, 2), Z(11, -4)), (Z(1, 0), Z(0, 1)), (Z(-13, 8), Z(9, 40)), (Z(5, 0), Z(3, 4))]
+    for alpha, beta in pairs:
+        base = gcd(alpha, beta)
+        assert gcd(Z(3, 0) * alpha, Z(3, 0) * beta) == canonical_associate(Z(3, 0) * base)
+        assert gcd(Z(21, 0) * alpha, Z(0, 9) * beta) == canonical_associate(Z(3, 0) * base)
+    # (1+i)^k * alpha against 2 * beta = -i(1+i)^2 * beta, both with odd norm
+    alpha, beta = Z(7, 2), Z(11, -4)
+    assert norm(alpha) % 2 == 1 and norm(beta) % 2 == 1 and gcd(alpha, beta) == Z(1, 0)
+    for k in range(8):
+        expected = canonical_associate(Z(1, 1) ** min(k, 2))
+        assert gcd(Z(1, 1) ** k * alpha, Z(2, 0) * beta) == expected, k
+        assert gcd(Z(2, 0) * beta, Z(1, 1) ** k * alpha) == expected, k
+
+
+def test_gcd_of_associates_and_multiples():
+    for alpha in (Z(3, 0), Z(-7, 4), Z(123456789012345, -98765432109876), Z(2, 1) ** 40):
+        for u in UNITS:
+            assert gcd(alpha, u * alpha) == canonical_associate(alpha)
+            assert gcd(u * alpha, alpha) == canonical_associate(alpha)
+        for k in (Z(2, 0), Z(1, 1), Z(-3, 5), Z(10**20 + 7, 3)):
+            assert gcd(alpha * k, alpha) == canonical_associate(alpha)
+            assert gcd(alpha, k * alpha) == canonical_associate(alpha)
+
+
+def test_gcd_with_one_zero_operand():
+    for alpha in (Z(-3, 7), Z(0, -1), Z(1, 1), Z(-6, 0), Z(10**30, -(10**29))):
+        assert gcd(alpha, Z(0, 0)) == canonical_associate(alpha)
+        assert gcd(Z(0, 0), alpha) == canonical_associate(alpha)
+    with pytest.raises(BothZero):
+        gcd(Z(0, 0), Z(0, 0))
+
+
+@settings(deadline=None)  # the first example imports SymPy
+@given(_by_digits(1, 60), _by_digits(1, 60), _by_digits(1, 60), _by_digits(1, 60))
+def test_gcd_matches_sympy_on_unrelated_operands(a, b, c, d):
+    zzi = pytest.importorskip("sympy.polys.domains").ZZ_I
+    expected = zzi.gcd(zzi(a, b), zzi(c, d))
+    g = gcd(Z(a, b), Z(c, d))
+    assert (g.re, g.im) == (int(expected.x), int(expected.y))
+
+
+def _counting_div_rem(monkeypatch):
+    calls = []
+    div_rem_ints = gaussian._div_rem_ints
+
+    def counted(*args):
+        calls.append(args)
+        return div_rem_ints(*args)
+
+    monkeypatch.setattr(gaussian, "_div_rem_ints", counted)
+    return calls
+
+
+def _random_gaussian(rng, digits):
+    return Z(rng.randrange(10 ** (digits - 1), 10**digits), -rng.randrange(10**digits))
+
+
+def test_gcd_of_coprime_norms_takes_no_euclid_run(monkeypatch):
+    rng = random.Random(14)
+    alpha, beta = _random_gaussian(rng, 300), _random_gaussian(rng, 300)
+    while math.gcd(norm(alpha), norm(beta)) != 1:
+        beta = _random_gaussian(rng, 300)
+    calls = _counting_div_rem(monkeypatch)
+    assert gcd(alpha, beta) == Z(1, 0)
+    assert len(calls) <= 1
+
+
+def test_gcd_of_an_associate_takes_one_step(monkeypatch):
+    rng = random.Random(15)
+    alpha = _random_gaussian(rng, 300)
+    calls = _counting_div_rem(monkeypatch)
+    assert gcd(alpha, Z(0, 1) * alpha) == canonical_associate(alpha)
+    assert len(calls) <= 2
+
+
+def test_gcd_with_a_small_shared_factor_runs_on_small_operands(monkeypatch):
+    # the plain Euclid run on these 300-digit operands takes over 500 steps;
+    # through g, the gcd of the norms, every division is by an element of
+    # norm at most g^2
+    rng = random.Random(16)
+    gamma = Z(389, 112)
+    alpha, beta = gamma * _random_gaussian(rng, 297), gamma * _random_gaussian(rng, 297)
+    calls = _counting_div_rem(monkeypatch)
+    g = gcd(alpha, beta)
+    assert _divides(gamma, g) and _divides(g, alpha) and _divides(g, beta)
+    assert len(calls) < 50
+    g2 = math.gcd(norm(alpha), norm(beta)) ** 2
+    assert all(c * c + d * d <= g2 for _, _, c, d in calls)
 
 
 def test_is_gaussian_prime_examples():

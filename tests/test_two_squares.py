@@ -9,6 +9,7 @@ from quadres.errors import NotARoot, NotPrime, WrongResidueClass
 from quadres.oracle import brute_two_squares, count_representations_by_divisors
 from quadres.sqrtmod import sqrt_mod, sqrt_mod_prime
 from quadres.two_squares import (
+    TwoSquareRep,
     all_representations,
     count_representations,
     has_primitive_representation,
@@ -123,6 +124,16 @@ def test_represent_prime_large_magnitudes():
             assert rep.a * rep.a + rep.b * rep.b == p
             assert (k * rep.a - rep.b) % p == 0
     assert time.perf_counter() - t0 < 1.0
+
+
+def test_lists_at_zero():
+    assert all_representations(0) == brute_two_squares(0) == [TwoSquareRep(0, 0, False)]
+    assert len(all_representations(0)) == count_representations(0) == 1
+    assert primitive_representations(0) == []
+    assert has_primitive_representation(0) is False
+    for fn in (all_representations, primitive_representations, has_primitive_representation):
+        with pytest.raises(ValueError):
+            fn(-1)
 
 
 def test_count_examples():
