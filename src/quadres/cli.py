@@ -263,6 +263,31 @@ def _cmd_quadruples(args):
     return [_fields(q) for q in quads], [f"{q.x} {q.y} {q.z} {q.w}" for q in quads]
 
 
+def _scan_two_squares(args):
+    # brute_two_squares shaped like the value of each `two-squares` action;
+    # None for represent-prime of an n that represent_prime then refuses
+    scan = brute_two_squares(args.n)
+    if args.action == "count":
+        return len(scan)
+    if args.action == "list":
+        return [[rep.a, rep.b] for rep in scan]
+    if args.action == "primitive":
+        return [[rep.a, rep.b] for rep in scan if rep.primitive and rep.a > 0 and rep.b > 0]
+    return next(([rep.a, rep.b] for rep in scan if rep.primitive and rep.a >= rep.b > 0), None)
+
+
+# the brute-force side of each request `verify` can check
+_ORACLES = {
+    "legendre": lambda args: brute_legendre(args.a, args.p),
+    "jacobi": lambda args: jacobi_by_definition(args.a, args.n),
+    "sqrtmod": lambda args: _residue_payload(brute_sqrt_mod(args.a, args.n)),
+    "solve-quadratic": lambda args: _residue_payload(
+        brute_quadratic(args.a, args.b, args.c, args.mod)
+    ),
+    "two-squares": _scan_two_squares,
+}
+
+
 def _cmd_verify(args, parser):
     request = list(args.request)
     if request and request[0] == "--":
@@ -276,42 +301,19 @@ def _cmd_verify(args, parser):
     if getattr(inner, "json", False):
         args.json = True
     command = inner.command
-
-    if command == "legendre":
-        value = legendre_euler(inner.a, inner.p)
-        oracle = brute_legendre(inner.a, inner.p)
-    elif command == "jacobi":
-        value = jacobi(inner.a, inner.n)
-        oracle = jacobi_by_definition(inner.a, inner.n)
-    elif command == "sqrtmod":
-        value = _residue_payload(sqrt_mod(inner.a, inner.n))
-        oracle = _residue_payload(brute_sqrt_mod(inner.a, inner.n))
-    elif command == "solve-quadratic":
-        rs = solve_quadratic(QuadCongruence(inner.a, inner.b, inner.c, inner.mod))
-        value = _residue_payload(rs)
-        oracle = _residue_payload(brute_quadratic(inner.a, inner.b, inner.c, inner.mod))
-    elif command == "two-squares":
-        scan = brute_two_squares(inner.n)
-        if inner.action == "count":
-            value = count_representations(inner.n)
-            oracle = len(scan)
-        elif inner.action == "list":
-            value = [[rep.a, rep.b] for rep in all_representations(inner.n)]
-            oracle = [[rep.a, rep.b] for rep in scan]
-        elif inner.action == "primitive":
-            value = [[rep.a, rep.b] for rep in primitive_representations(inner.n)]
-            oracle = sorted(
-                [rep.a, rep.b] for rep in scan
-                if rep.primitive and rep.a > 0 and rep.b > 0
-            )
-        else:
-            rep = represent_prime(inner.n)
-            value = [rep.a, rep.b]
-            oracle = next(
-                [r.a, r.b] for r in scan if r.primitive and r.a >= r.b > 0
-            )
-    else:
+    if command not in _ORACLES:
         raise _UsageError(f"verify does not support {' '.join(request)!r}")
+
+    # the two-squares scan runs first: its budget refuses a large n before the
+    # named route builds a list of up to r(n) pairs
+    oracle = _ORACLES[command](inner) if command == "two-squares" else None
+    value = _HANDLERS[command](inner)[0]
+    if command != "two-squares":
+        oracle = _ORACLES[command](inner)
+    elif inner.action != "count":
+        value = [[rep["a"], rep["b"]] for rep in value]
+        if inner.action == "represent-prime":
+            (value,) = value
 
     agree = value == oracle
     payload = {"request": request, "value": value, "oracle": oracle, "agree": agree}

@@ -10,9 +10,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import factorize, is_prime
+from .core import is_prime
 from .errors import BothZero, ZeroArgument, ZeroOrUnit
-from .two_squares import represent_prime
+from .two_squares import _split_factorization, represent_prime
 
 
 @dataclass(frozen=True)
@@ -188,32 +188,30 @@ class GaussianFactorization:
 def factor(xi: GaussianInt) -> GaussianFactorization:
     """Unique factorization of xi != 0, not a unit, into Gaussian primes.
 
-    Factors N(xi) over Z, splits each rational prime p = 1 (mod 4) as a sum
-    of two squares, keeps q = 3 (mod 4) inert and uses 1 + i above 2, then
-    assigns exponents by exact division of xi.
+    The candidate primes are read from `two_squares._split_factorization`
+    of N(xi): 1 + i above 2, each inert q, and a + b*i and b + a*i above each
+    split p = a^2 + b^2. Exponents come from exact division of xi.
     """
     if xi == ZERO or is_unit(xi):
         raise ZeroOrUnit(f"{xi} has no prime factorization")
     x, y = xi.re, xi.im
+    g, inert, split = _split_factorization(norm(xi))
+    candidates = [(1, 1)] if g else []
+    candidates += [(q, 0) for q, _ in inert]
+    for p, _ in split:
+        # p = a^2 + b^2 with a >= b > 0: a + b*i and i*(a - b*i) = b + a*i
+        rep = represent_prime(p)
+        candidates += [(rep.a, rep.b), (rep.b, rep.a)]
     found = []
-    for p, _ in factorize(norm(xi)).factors:
-        if p == 2:
-            candidates = [(1, 1)]
-        elif p % 4 == 3:
-            candidates = [(p, 0)]
-        else:
-            # p = a^2 + b^2 with a >= b > 0: a + b*i and i*(a - b*i) = b + a*i
-            rep = represent_prime(p)
-            candidates = [(rep.a, rep.b), (rep.b, rep.a)]
-        for c, d in candidates:
-            e = 0
-            while True:
-                q1, q2, r1, r2 = _div_rem_ints(x, y, c, d)
-                if r1 or r2:
-                    break
-                x, y, e = q1, q2, e + 1
-            if e:
-                found.append((GaussianInt(c, d), e))
+    for c, d in candidates:
+        e = 0
+        while True:
+            q1, q2, r1, r2 = _div_rem_ints(x, y, c, d)
+            if r1 or r2:
+                break
+            x, y, e = q1, q2, e + 1
+        if e:
+            found.append((GaussianInt(c, d), e))
     unit = GaussianInt(x, y)
     assert is_unit(unit)
     found.sort(key=lambda fe: (norm(fe[0]), fe[0].re, fe[0].im))

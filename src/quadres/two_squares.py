@@ -6,7 +6,8 @@ in O(log n) steps (Brillhart 1972). The paper's own construction, a
 pigeonhole search over O(n) pairs, is kept as a test reference in
 `oracle.pigeonhole_rep_from_root`. r(n) is read off the exponents of n, and
 enumeration runs through the Gaussian factorization of n, on (re, im) int
-pairs.
+pairs; both, like `gaussian.factor`, read n's primes as ramified, inert or
+split from `_split_factorization`.
 """
 
 from __future__ import annotations
@@ -35,16 +36,14 @@ def is_sum_of_two_squares(n: int) -> bool:
 
 
 def has_primitive_representation(n: int) -> bool:
-    """True iff n or n/2 is odd and divisible only by primes p = 1 (mod 4);
-    False at n = 0, since gcd(0, 0) = 0."""
+    """True iff 4 does not divide n and no prime q = 3 (mod 4) divides n,
+    read off `_split_factorization`; False at n = 0, since gcd(0, 0) = 0."""
     if n < 0:
         raise ValueError("n must be nonnegative")
     if n == 0:
         return False
-    m = n if n % 2 == 1 else n // 2
-    if m % 2 == 0:
-        return False
-    return all(p % 4 == 1 for p, _ in factorize(m).factors) if m > 1 else True
+    g, inert, _ = _split_factorization(n)
+    return g <= 1 and not inert
 
 
 def rep_from_root(k: int, n: int) -> TwoSquareRep:
@@ -88,21 +87,16 @@ def represent_prime(p: int) -> TwoSquareRep:
 
 
 def _split_factorization(n: int):
-    # (exponent of 2, inert part prod q^(f/2) or None, [((a, b), e), ...]),
-    # where a + b*i and its conjugate are the primes above p = a^2 + b^2
-    g = 0
-    inert = 1
-    split = []
+    """(g, [(q, f), ...], [(p, e), ...]) with n = 2^g * prod q^f * prod p^e
+    for n >= 1: each q = 3 (mod 4) stays prime in Z(i), each p = 1 (mod 4)
+    splits, since (-1/p) = (-1)^((p-1)/2), and 2 ramifies. The one place a
+    factorization is read by p mod 4."""
+    g, inert, split = 0, [], []
     for p, e in factorize(n).factors:
         if p == 2:
             g = e
-        elif p % 4 == 3:
-            if e % 2 == 1:
-                return g, None, split
-            inert *= p ** (e // 2)
         else:
-            rep = represent_prime(p)
-            split.append(((rep.a, rep.b), e))
+            (inert if p % 4 == 3 else split).append((p, e))
     return g, inert, split
 
 
@@ -132,13 +126,10 @@ def count_representations(n: int) -> int:
         raise ValueError("n must be nonnegative")
     if n == 0:
         return 1
-    r = 4
-    for p, e in factorize(n).factors:
-        if p % 4 == 1:
-            r *= e + 1
-        elif p % 4 == 3 and e % 2 == 1:
-            return 0
-    return r
+    _, inert, split = _split_factorization(n)
+    if any(f % 2 for _, f in inert):
+        return 0
+    return 4 * math.prod(e + 1 for _, e in split)
 
 
 def all_representations(n: int) -> list[TwoSquareRep]:
@@ -153,12 +144,14 @@ def all_representations(n: int) -> list[TwoSquareRep]:
     if n == 0:
         return [TwoSquareRep(0, 0, False)]
     g, inert, split = _split_factorization(n)
-    if inert is None:
+    if any(f % 2 for _, f in inert):
         return []
+    c = math.prod(q ** (f // 2) for q, f in inert)
     x, y = _powers(1, -1, g)[-1]
-    values = [(inert * x, inert * y)]
-    for (a, b), e in split:
-        pows = _powers(a, b, e)
+    values = [(c * x, c * y)]
+    for p, e in split:
+        rep = represent_prime(p)
+        pows = _powers(rep.a, rep.b, e)
         # pi^e1 * pibar^(e - e1), with pibar^k the conjugate of pi^k
         parts = [(x * u + y * v, y * u - x * v) for (x, y), (u, v) in zip(pows, reversed(pows))]
         values = _times(values, parts)
@@ -172,14 +165,15 @@ def primitive_representations(n: int) -> list[TwoSquareRep]:
 
     Exponents go entirely to one conjugate per split prime, so there are
     2^R of them (R = number of distinct primes p = 1 (mod 4) dividing n),
-    counted as ordered positive pairs; n = 0 has none.
+    counted as ordered positive pairs; n = 0 and n = 1 = 1^2 + 0^2 have none.
     """
     if not has_primitive_representation(n):
         return []
     g, _, split = _split_factorization(n)
     values = _powers(1, -1, g)[-1:]
-    for (a, b), e in split:
-        x, y = _powers(a, b, e)[-1]
+    for p, e in split:
+        rep = represent_prime(p)
+        x, y = _powers(rep.a, rep.b, e)[-1]
         values = _times(values, ((x, y), (x, -y)))
     # one of the four associates of each value lies in the open first quadrant
     pairs = sorted((x, y) for x, y in _unit_multiples(values) if x > 0 and y > 0)

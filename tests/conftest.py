@@ -15,6 +15,16 @@ def primes_upto(limit: int) -> list[int]:
     return [i for i, f in enumerate(flags) if f]
 
 
+def classification_grid() -> list[int]:
+    """n = 2^g * 3^f * 5^e * 13^d for g, f in 0..3 and e, d in 0..2: 2 ramified,
+    3 inert at odd and even exponents, 5 and 13 split; from n = 1 and n = 2
+    up to 912,600, inside the oracle scans' budget."""
+    return sorted(
+        2**g * 3**f * 5**e * 13**d
+        for g in range(4) for f in range(4) for e in range(3) for d in range(3)
+    )
+
+
 def odd_primes_upto(limit: int) -> list[int]:
     return [p for p in primes_upto(limit) if p > 2]
 

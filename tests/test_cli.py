@@ -298,3 +298,122 @@ def test_json_output_is_byte_identical(capsys, argv):
 def test_json_output_digest_is_unchanged(capsys, argv):
     code, out, _ = run(capsys, *argv, "--json")
     assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == GOLDEN_JSON_SHA256[argv]
+
+
+# `verify` on each request it supports, as SHA-256 of the exit code, stdout
+# and stderr of the plain run followed by those of the `--json` run; refusals
+# included. The value is read from the named subcommand's own handler.
+GOLDEN_VERIFY_SHA256 = {
+    ("legendre", "2", "7"):
+        "ce0e251e8a9e35977ebe29c0694a5527fdb686990f7f6986ba230b5375952c49",
+    ("legendre", "14", "7"):
+        "5df4118926cf680d4d41f37bc1c8aa75465000bf416be4d818dc4bc934abe7d7",
+    ("legendre", "5", "9"):
+        "a5321611878d7c25f1e2b8073a7d546d1d35d153bcfa4cabe498888faeeeab73",
+    ("legendre", "2", "1000003"):
+        "c1c33923e07449058d821b0b3fda5c17a459b35a192e46c874ad0fc3f6cf64ac",
+    ("legendre", "5", "13", "--method", "gauss-lemma"):
+        "e138b0e07c9878dbc9961b9b22e00d812649c11bbf045bd759a61cf9ab785bea",
+    ("jacobi", "365", "1847"):
+        "5c4fefe1ed414073d922c8d69bc5658e2c2fc997bdf570cec4399e047eefdf09",
+    ("jacobi", "0", "9"):
+        "008a1aa1bddc823b79753dcff4f31db319bcb0fbdb64048e3dac1a183c274486",
+    ("jacobi", "2", "8"):
+        "53250a697a86bc6b38a190045c12e4941ccd839433a594ce2e33c10f4a928f58",
+    ("jacobi", "-7", "-15"):
+        "4875ae30e97a1b83faffefe202395b3cfae5a060bb7d0ecd1ef624ae00830941",
+    ("sqrtmod", "61", "180"):
+        "e96cf1189154589249a7b0a5733607bd91aab6d8fea8eb5a054cae898d20bdec",
+    ("sqrtmod", "2", "9"):
+        "5bf1f4ef64fc94997740b0a160b70ad397f46a42602d75949ca58da6e5a172ce",
+    ("sqrtmod", "3", "9"):
+        "408ee63ea5e0c32465c05e191172e892e01d0edc7fcc3d6a75da3b7e6a00981e",
+    ("sqrtmod", "4", "0"):
+        "9094b0135d10fb2f13714574b02cfa07062a0bca5e81524b443a13eff93205d0",
+    ("sqrtmod", "3", "3000027"):
+        "39c4917a70eaeb0694cc5eb50c3a0abc1c812ec65810f002f5a0dae9746fa517",
+    ("sqrtmod", "4", "998244353000000007"):
+        "1302e3a884de6f36939f89f3756ad05f3e1b76ee4ac5de184ff8329e08ff108a",
+    ("solve-quadratic", "3", "7", "-1", "--mod", "15"):
+        "a864f45d2d5a678f4737f9789730a89609b90ff830c397650600f9ff8317d23c",
+    ("solve-quadratic", "2", "0", "-8", "--mod", "1000"):
+        "5891c96e07073df2ee6cd4eb5fb7c980e41b940a980f48e95b802e56efacba42",
+    ("solve-quadratic", "0", "1", "1", "--mod", "5"):
+        "81fa9b9df49feaf717303c9adf93d6f2a5ebe3b2b500ba4bc57c661e55f91473",
+    ("solve-quadratic", "1", "1", "1", "--mod", "0"):
+        "36de5e197860d21fab0a1d27378bba94109a464f6723ff3ea521875165c56d60",
+    ("two-squares", "count", "0"):
+        "5aee5e3fffd8e3802fdc425e51ad78806ccd3d7cf7c2729ed31e4e0e38f1f94a",
+    ("two-squares", "count", "25"):
+        "93aa3c505dbe21f4d86887666a32115bb831e218ac7490b865d09011c7b845d5",
+    ("two-squares", "count", "21"):
+        "f52903c4691a031c7af1237341588d55a99c25265ae3d396542457af2b08e45b",
+    ("two-squares", "count", "2000000"):
+        "a24a3f19792a903fc44680b63773bb20cfe96e322e2ab66a9b1c4912b1a10cca",
+    ("two-squares", "list", "0"):
+        "84b43ab6f929bb5a519ee56fee69d2bd19e239cdf4c3bbeeb24c566242f9f49d",
+    ("two-squares", "list", "1"):
+        "a8e911d00ab46f164db60b7f8dec9674b8372bf40f7f4782cfda14d9095649d6",
+    ("two-squares", "list", "3"):
+        "104693ded680f9fb11692fdb266fa4728b8028bcc644929b0a15c4c35d17023e",
+    ("two-squares", "list", "1105"):
+        "83c91431399d26c10bb720ce739d51e149d57753f42819af8b28f64c17b79393",
+    ("two-squares", "list", "-5"):
+        "07c8b19f1ead1aa28294ab4d2bee9bcc3338ba93fecb7f70672fbcb6bb42ce59",
+    ("two-squares", "primitive", "0"):
+        "ab9a4dc5fdc0719ec68439e72bee726f934d56c714391d8631f3df6c556f00b1",
+    ("two-squares", "primitive", "2"):
+        "1d72e65796c134d6ca85f53693cb420267d8c886a4c27b28b088c72bfc163039",
+    ("two-squares", "primitive", "4"):
+        "31bf8c69906566aa1d266ea78a8dbfd3975fe34aadd2381f74c85983f78270b1",
+    ("two-squares", "primitive", "130"):
+        "8c8badfc7531834c92d97bbe284c34d37b1afee8592c0ce5138bf4823bb0cab4",
+    ("two-squares", "primitive", "9"):
+        "740a05ddd34e63cb8dc10fb13381c5bcee6f82f01efa42cf2523d33839696652",
+    ("two-squares", "represent-prime", "2"):
+        "b4d9a0a5b7464a989e12f13234af6862c35f2167b3fd7f9f8bc63fe3cc510a1c",
+    ("two-squares", "represent-prime", "13"):
+        "886193a761b5491e2eb53dadf1e84df6f40de49f974acee4f62d5723c651ed68",
+    ("two-squares", "represent-prime", "7"):
+        "13dc4f803ec622e8520548249c71d5377dc73ca078bf2a1cca269932651e87f8",
+    ("two-squares", "represent-prime", "9"):
+        "265bd476a7bc7e7594cf073591227aa9a43fb45832d93822628dd54339d606f0",
+    ("two-squares", "represent-prime", "1000001"):
+        "051a58996b4ce621cdb65da8c72901cbe5bf7c83a9585ba6e641ac7888f08640",
+}
+
+
+def _transcript(capsys, *argv):
+    code, out, err = run(capsys, *argv)
+    return f"{code}\n{out}{err}"
+
+
+@pytest.mark.parametrize("request_argv", list(GOLDEN_VERIFY_SHA256), ids=" ".join)
+def test_verify_output_is_unchanged(capsys, request_argv):
+    both = _transcript(capsys, "verify", "--", *request_argv)
+    both += _transcript(capsys, "verify", "--", *request_argv, "--json")
+    assert hashlib.sha256(both.encode()).hexdigest() == GOLDEN_VERIFY_SHA256[request_argv]
+
+
+def test_verify_runs_the_requested_legendre_route(capsys, monkeypatch):
+    calls = []
+
+    def counted(a, p):
+        calls.append((a, p))
+        return gauss_lemma(a, p)
+
+    gauss_lemma = cli.legendre_gauss_lemma
+    monkeypatch.setattr(cli, "legendre_gauss_lemma", counted)
+    code, out, _ = run(capsys, "verify", "legendre", "2", "7", "--method", "gauss-lemma")
+    assert code == 0 and out == "value: 1\noracle: 1\nagree: true\n"
+    assert calls == [(2, 7)]
+    code, out, _ = run(capsys, "verify", "legendre", "2", "7")
+    assert code == 0 and calls == [(2, 7)]
+    # a wrong answer from the requested route shows as a disagreement
+    monkeypatch.setattr(cli, "legendre_gauss_lemma", lambda a, p: -gauss_lemma(a, p))
+    code, out, _ = run(capsys, "verify", "legendre", "2", "7", "--method", "gauss-lemma")
+    assert code == 1 and out == "value: -1\noracle: 1\nagree: false\n"
+    # Gauss's lemma refuses a = 0 (mod p); verify reports the request's own error
+    plain = run(capsys, "legendre", "14", "7", "--method", "gauss-lemma")
+    checked = run(capsys, "verify", "legendre", "14", "7", "--method", "gauss-lemma")
+    assert checked == plain and plain[0] == 1 and "gcd" in plain[2]

@@ -4,7 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import time_limit
+from conftest import classification_grid, time_limit
 
 from quadres import gaussian
 from quadres.errors import BothZero, ZeroArgument, ZeroOrUnit
@@ -330,7 +330,7 @@ def test_factor_rejects_zero_and_units():
 
 
 def test_factor_reassembles_disk():
-    for g in _disk(600):
+    for g in [*_disk(600), *(Z(n, 0) for n in classification_grid())]:
         if g == Z(0, 0) or is_unit(g):
             continue
         f = factor(g)

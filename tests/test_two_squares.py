@@ -4,7 +4,8 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import primes_upto
+from conftest import classification_grid, primes_upto
+from quadres.core import factorize
 from quadres.errors import NotARoot, NotPrime, WrongResidueClass
 from quadres.oracle import brute_two_squares, count_representations_by_divisors
 from quadres.sqrtmod import sqrt_mod, sqrt_mod_prime
@@ -40,7 +41,7 @@ def test_has_primitive_representation_examples():
 
 
 def test_has_primitive_representation_matches_scan():
-    for n in range(1, 500):
+    for n in [*range(1, 500), *classification_grid()]:
         exists = any(rep.primitive for rep in brute_two_squares(n))
         assert has_primitive_representation(n) == exists, n
 
@@ -161,7 +162,7 @@ def test_count_examples():
 
 
 def test_count_triple_agreement():
-    for n in range(1, 1500):
+    for n in [*range(1, 1500), *classification_grid()]:
         lattice = len(brute_two_squares(n))
         assert count_representations(n) == lattice, n
         assert count_representations_by_divisors(n) == lattice, n
@@ -181,7 +182,7 @@ def test_all_representations_examples():
 
 
 def test_all_representations_sweep():
-    for n in range(1, 800):
+    for n in [*range(1, 800), *classification_grid()]:
         reps = all_representations(n)
         assert len(reps) == count_representations(n), n
         assert len({(r.a, r.b) for r in reps}) == len(reps)
@@ -196,17 +197,19 @@ def test_primitive_representations_examples():
     assert {(r.a, r.b) for r in primitive_representations(5)} == {(1, 2), (2, 1)}
     assert {(r.a, r.b) for r in primitive_representations(25)} == {(3, 4), (4, 3)}
     assert primitive_representations(12) == []
+    assert primitive_representations(1) == [] and has_primitive_representation(1)
 
 
 def test_primitive_representations_count_is_power_of_two():
-    for n in range(2, 800):
+    # n = 1 is 1^2 + 0^2 only: primitive, but not in the open first quadrant
+    for n in [*range(2, 800), *classification_grid()[1:]]:
         reps = primitive_representations(n)
         for rep in reps:
             assert math.gcd(rep.a, rep.b) == 1
             assert rep.a > 0 and rep.b > 0
             assert rep.a**2 + rep.b**2 == n
         if has_primitive_representation(n):
-            big = sum(1 for p, _ in _factor_pairs(n) if p % 4 == 1)
+            big = sum(1 for p, _ in factorize(n).factors if p % 4 == 1)
             assert len(reps) == 2**big, n
         else:
             assert reps == []
@@ -247,16 +250,20 @@ def test_primitive_representations_with_many_split_primes(primes, data, g):
         assert rep.primitive and math.gcd(rep.a, rep.b) == 1
 
 
-def _factor_pairs(n):
-    from quadres.core import factorize
-
-    return factorize(n).factors
+def test_primitive_representations_factor_n_once():
+    # has_primitive_representation and the enumeration read the same cached
+    # factorization of n, even n included
+    for n in (2 * 5 * 13 * 17 * 29, 5 * 13 * 17 * 29):
+        factorize.cache_clear()
+        assert len(primitive_representations(n)) == 16
+        info = factorize.cache_info()
+        assert (info.misses, info.hits) == (1, 1), n
 
 
 def test_descent_for_inert_prime_divisors():
     # any representation of n with a prime p = 3 (mod 4) dividing n has p | gcd(x, y)
     for n in range(2, 800):
-        for p, _ in _factor_pairs(n):
+        for p, _ in factorize(n).factors:
             if p % 4 != 3:
                 continue
             for rep in brute_two_squares(n):
