@@ -24,17 +24,18 @@ _PSI_13 = 3317044064679887385961981
 def is_prime(n: int) -> bool:
     """Primality of n.
 
-    Below psi_13 = 3317044064679887385961981 the answer is deterministic:
+    Below 2^12 it is a lookup in the sieve that trial division uses. Below
+    psi_13 = 3317044064679887385961981 the answer is deterministic:
     Miller-Rabin on the first 13 prime bases has no pseudoprime there. At or
     above psi_13 it is BPSW (Baillie-Wagstaff, Math. Comp. 35, 1980): a strong
     base-2 test, then a strong Lucas test with Selfridge's parameters. No
     BPSW pseudoprime is known, but none has been ruled out above 2^64.
     """
-    if n < 2:
-        return False
+    if n < _TRIAL_BOUND:
+        return n in _SMALL_PRIMES
     for p in _MR_BASES:
         if n % p == 0:
-            return n == p
+            return False
     if n < _PSI_13:
         return _miller_rabin(n, _MR_BASES)
     return (
@@ -152,6 +153,7 @@ def _odd_primes_below(limit: int) -> tuple[int, ...]:
 # It takes one gcd with the product of each block of 32 consecutive primes.
 _TRIAL_BOUND = 1 << 12
 _ODD_PRIMES = _odd_primes_below(_TRIAL_BOUND)
+_SMALL_PRIMES = frozenset((2, *_ODD_PRIMES))
 _PRIME_BLOCKS = tuple(
     (block, math.prod(block))
     for block in (_ODD_PRIMES[i : i + 32] for i in range(0, len(_ODD_PRIMES), 32))
@@ -167,18 +169,18 @@ _RHO_MAX_STEPS = 1 << 25
 def factorize(n: int) -> Factorization:
     """Factor a nonzero integer: trial division below 2^12, then Pollard-Brent rho.
 
-    Powers of 2 are stripped. The odd primes below 2^12 are tried in blocks
-    of 32: one gcd of the cofactor with the block's product finds the primes
-    of the block that divide it, and only those are divided out (Bernstein,
-    "How to find smooth parts of integers", 2004). Trial division stops at
-    the first block whose least prime p has p^2 above the cofactor. A
-    cofactor left above 2^24 is tested with `is_prime`; a composite one is split as a perfect power r^k if it is one,
-    else by Brent's rho, until every part is prime. Rho's cost grows as the
-    square root of the second-largest prime factor: balanced semiprimes took
-    milliseconds near 10^18, up to a few seconds near 10^24 and up to 20 s
-    near 10^28. Past its step cap rho raises BudgetExceeded (see
-    `_brent_rho`), as on a balanced 10^40 semiprime. A negative n reuses the
-    cached factorization of -n.
+    Powers of 2 are stripped. The odd primes below 2^12 are tried in blocks of
+    32: one gcd of the cofactor with the block's product finds the primes of
+    the block that divide it, and only those are divided out (Bernstein, "How
+    to find smooth parts of integers", 2004). Trial division stops at the
+    first block whose least prime p has p^2 above the cofactor. A cofactor
+    left above 2^24 is tested with `is_prime`; a composite one is split as a
+    perfect power r^k if it is one, else by Brent's rho, until every part is
+    prime. Rho's cost grows as the square root of the second-largest prime
+    factor: balanced semiprimes took milliseconds near 10^18, up to a few
+    seconds near 10^24 and up to 20 s near 10^28. Past its step cap rho raises
+    BudgetExceeded (see `_brent_rho`), as on a balanced 10^40 semiprime. A
+    negative n reuses the cached factorization of -n.
     """
     if n == 0:
         raise ValueError("0 has no prime factorization")

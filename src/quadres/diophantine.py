@@ -182,28 +182,28 @@ def enumerate_quadruples(w_max: int) -> list[PythQuadruple]:
     canonicalized so that 0 < x <= y <= z, deduplicated, sorted by (w, z, y, x).
 
     A zero coordinate degenerates to a plain Pythagorean triple and is left
-    to the triple enumerator. The parameters run over the ball
-    m^2 + n^2 + u^2 + v^2 <= w_max, which is exhaustive because that sum is w:
-    each one over range(-k, k + 1) with k the integer square root of what the
-    earlier ones leave of w_max. The scan is lexicographic in (m, n, u, v), and
-    each quadruple records the first parameters in that order that give it.
+    to the triple enumerator. Each quadruple records the lexicographically
+    first (m, n, u, v) with m^2 + n^2 + u^2 + v^2 = w that gives it. The maps
+    t -> -t, (m, -n, u, -v), (m, n, -u, -v), (n, m, v, u) and (m, u, n, -v)
+    keep w, the sorted (|x|, |y|, |z|) and gcd(m, n, u, v); together they
+    bring any coordinate to the front and flip any even set of signs. So
+    the first generator has m = -max|coordinate| < 0, n <= 0, u <= 0,
+    |u| <= |n| and |v| <= -m, or one of the maps would give an earlier one,
+    and the scan runs over that domain alone, in lexicographic order.
     """
     if w_max < 1:
         raise ValueError("w_max must be positive")
     seen: dict[tuple[int, int, int, int], PythQuadruple] = {}
-    km = math.isqrt(w_max)
-    for m in range(-km, km + 1):
+    for m in range(-math.isqrt(w_max), 0):
         mm = m * m
-        kn = math.isqrt(w_max - mm)
-        for n in range(-kn, kn + 1):
+        for n in range(max(m, -math.isqrt(w_max - mm)), 1):
             nn = n * n
             left = w_max - mm - nn
             gmn = math.gcd(m, n)
-            ku = math.isqrt(left)
-            for u in range(-ku, ku + 1):
+            for u in range(max(n, -math.isqrt(left)), 1):
                 uu = u * u
                 gmnu = math.gcd(gmn, u)
-                kv = math.isqrt(left - uu)
+                kv = min(-m, math.isqrt(left - uu))
                 for v in range(-kv, kv + 1):
                     if math.gcd(gmnu, v) != 1:
                         continue

@@ -285,6 +285,14 @@ GOLDEN_JSON_SHA256 = {
         "aaf6df5654704810f9e974fdf2bb9e6451a164024eb1ca305d0afc60d4e00160",
     ("two-squares", "list", "5525"):
         "80bc5470aad497bac30b61de40b5909d1566752aa4e01470362c913bc496390e",
+    ("quadruples", "--max", "200"):
+        "ed3c1caa6a6c878ac0ca2342e11ef558a8fbf00a2b52958bb3c16cdca898bd16",
+}
+
+# the plain-text output, as SHA-256
+GOLDEN_PLAIN_SHA256 = {
+    ("quadruples", "--max", "200"):
+        "c199a85c409f7813790840a3799645ab0020a4ac372d4056729bfa6c32d79b6f",
 }
 
 
@@ -298,6 +306,12 @@ def test_json_output_is_byte_identical(capsys, argv):
 def test_json_output_digest_is_unchanged(capsys, argv):
     code, out, _ = run(capsys, *argv, "--json")
     assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == GOLDEN_JSON_SHA256[argv]
+
+
+@pytest.mark.parametrize("argv", list(GOLDEN_PLAIN_SHA256), ids=" ".join)
+def test_plain_output_digest_is_unchanged(capsys, argv):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == GOLDEN_PLAIN_SHA256[argv]
 
 
 # `verify` on each request it supports, as SHA-256 of the exit code, stdout

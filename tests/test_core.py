@@ -131,9 +131,10 @@ def test_factorize_reassembles_property(n):
 
 
 def test_is_prime_against_sieve():
-    primes = set(primes_upto(10000))
-    for n in range(10000):
-        assert is_prime(n) == (n in primes)
+    # both sides of the 2^12 bound below which is_prime is a lookup
+    primes = set(primes_upto(1 << 14))
+    for n in range(1 << 14):
+        assert is_prime(n) == (n in primes), n
     assert is_prime(2**61 - 1)
     assert not is_prime(2**67 - 1)
 

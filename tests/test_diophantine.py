@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import pytest
@@ -306,6 +307,79 @@ def test_enumerate_quadruples_matches_the_box_scan():
     # the first in lexicographic order that generates it
     for w_max in range(1, 61):
         assert enumerate_quadruples(w_max) == _box_scan_quadruples(w_max), w_max
+
+
+def _ball_scan_quadruples(w_max):
+    """The ball scan that enumerate_quadruples once ran: (m, n, u, v) over
+    m^2 + n^2 + u^2 + v^2 <= w_max, each over range(-k, k + 1) with k the
+    integer square root of what the earlier ones leave of w_max."""
+    seen = {}
+    km = math.isqrt(w_max)
+    for m in range(-km, km + 1):
+        mm = m * m
+        kn = math.isqrt(w_max - mm)
+        for n in range(-kn, kn + 1):
+            nn = n * n
+            left = w_max - mm - nn
+            gmn = math.gcd(m, n)
+            ku = math.isqrt(left)
+            for u in range(-ku, ku + 1):
+                uu = u * u
+                gmnu = math.gcd(gmn, u)
+                kv = math.isqrt(left - uu)
+                for v in range(-kv, kv + 1):
+                    if math.gcd(gmnu, v) != 1:
+                        continue
+                    x = 2 * (m * n - u * v)
+                    y = mm - nn - uu + v * v
+                    z = 2 * (m * u + n * v)
+                    if x == 0 or y == 0 or z == 0 or math.gcd(x, y, z) != 1:
+                        continue
+                    x, y, z = sorted((abs(x), abs(y), abs(z)))
+                    w = mm + nn + uu + v * v
+                    key = (x, y, z, w)
+                    if key not in seen:
+                        seen[key] = PythQuadruple(x, y, z, w, m, n, u, v, True)
+    return sorted(seen.values(), key=lambda q: (q.w, q.z, q.y, q.x))
+
+
+def test_enumerate_quadruples_matches_the_ball_scan():
+    # the fundamental domain keeps, for each quadruple, the parameters the
+    # whole ball would have recorded first
+    for w_max in [*range(1, 121), 300]:
+        assert enumerate_quadruples(w_max) == _ball_scan_quadruples(w_max), w_max
+
+
+def _xyzw(m, n, u, v):
+    return (
+        2 * (m * n - u * v),
+        m * m - n * n - u * u + v * v,
+        2 * (m * u + n * v),
+        m * m + n * n + u * u + v * v,
+    )
+
+
+# the parameter symmetries that enumerate_quadruples folds away
+_QUADRUPLE_SYMMETRIES = (
+    lambda m, n, u, v: (-m, -n, -u, -v),
+    lambda m, n, u, v: (m, -n, u, -v),  # negates x
+    lambda m, n, u, v: (m, n, -u, -v),  # negates z
+    lambda m, n, u, v: (n, m, v, u),  # negates y
+    lambda m, n, u, v: (m, u, n, -v),  # swaps x and z
+)
+
+
+def test_quadruple_symmetries_keep_w_the_coordinates_and_the_gcd():
+    span = range(-7, 8)
+    for t in itertools.product(span, repeat=4):
+        x, y, z, w = _xyzw(*t)
+        sorted_abs = sorted((abs(x), abs(y), abs(z)))
+        for f in _QUADRUPLE_SYMMETRIES:
+            image = f(*t)
+            x2, y2, z2, w2 = _xyzw(*image)
+            assert w2 == w, (t, image)
+            assert sorted((abs(x2), abs(y2), abs(z2))) == sorted_abs, (t, image)
+            assert math.gcd(*image) == math.gcd(*t), (t, image)
 
 
 def _plain_triples(r_max):
