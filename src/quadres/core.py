@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import itertools
 import math
+from bisect import bisect_left
+from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -316,15 +318,18 @@ class ResidueSet:
         return x % self.modulus in self.residues
 
 
-def crt_combine(components: list[ResidueSet] | tuple[ResidueSet, ...]) -> ResidueSet:
+def crt_combine(components: Iterable[ResidueSet]) -> ResidueSet:
     """Combine residue sets modulo pairwise coprime moduli into all residues
     mod the product.
 
     Every choice of one residue per component maps to exactly one residue
     x = sum(x_i * n_i * nbar_i) mod n, where n_i = n / m_i and nbar_i inverts
-    n_i modulo m_i. The sums are built in one pass: each component in turn
-    extends every partial sum by each of its residues' terms.
+    n_i modulo m_i. The sums stay sorted in [0, n): a component's distinct
+    terms t make |terms| sorted runs s + t in [0, 2n), which one sort merges,
+    and those at or above n, less n, are merged back by a second sort. The
+    map is a bijection and the terms are distinct, so the outputs are too.
     """
+    components = tuple(components)
     if not components:
         raise ValueError("at least one component is required")
     mods = [comp.modulus for comp in components]
@@ -334,8 +339,14 @@ def crt_combine(components: list[ResidueSet] | tuple[ResidueSet, ...]) -> Residu
         if math.gcd(m1, m2) != 1:
             raise NonCoprimeModuli(f"moduli {m1} and {m2} are not coprime")
     n = math.prod(mods)
-    basis = [n // m * pow(n // m, -1, m) for m in mods]
     sums = [0]
-    for comp, w in zip(components, basis):
-        sums = [s + x * w for s in sums for x in comp.residues]
-    return ResidueSet(n, tuple(sorted({s % n for s in sums})))
+    for comp, m in zip(components, mods):
+        w = n // m * pow(n // m, -1, m)
+        terms = sorted({x * w % n for x in comp.residues})
+        sums = [s + t for t in terms for s in sums]
+        sums.sort()
+        i = bisect_left(sums, n)
+        if i < len(sums):
+            sums[i:] = [s - n for s in sums[i:]]
+            sums.sort()
+    return ResidueSet(n, tuple(sums))

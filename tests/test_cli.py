@@ -287,12 +287,27 @@ GOLDEN_JSON_SHA256 = {
         "80bc5470aad497bac30b61de40b5909d1566752aa4e01470362c913bc496390e",
     ("quadruples", "--max", "200"):
         "ed3c1caa6a6c878ac0ca2342e11ef558a8fbf00a2b52958bb3c16cdca898bd16",
+    # 512 roots mod 2·1637·1861·1873·1907·2131·2677·2767·2819·2963
+    ("sqrtmod", "9", "2869334802830417278934562195302"):
+        "6edbc79433ff224fcfc5b39d948cef60071889f51be7bc36f3ae79118a9256db",
+    # 1458 roots mod 3^12·157
+    ("solve-quadratic", "1", "15021402", "14118876", "--mod", "83436237"):
+        "11f8909880ba3fdbcb384af186903302da009b0d6b00e20637427e24f19885f7",
+    # 729 roots mod 2·3^12, the large CRT component second
+    ("solve-quadratic", "1", "0", "0", "--mod", "1062882"):
+        "dd4e74d47a7380926c985261130a0c0b5d4a2b4ac15d13f7cecdbe2c229f15a4",
 }
 
 # the plain-text output, as SHA-256
 GOLDEN_PLAIN_SHA256 = {
     ("quadruples", "--max", "200"):
         "c199a85c409f7813790840a3799645ab0020a4ac372d4056729bfa6c32d79b6f",
+    ("sqrtmod", "9", "2869334802830417278934562195302"):
+        "8e60b067ed63de6875b4f64cf39ab54bb51b893281a0d83b8348362ae902f412",
+    ("solve-quadratic", "1", "15021402", "14118876", "--mod", "83436237"):
+        "6ee55a68c87db4e9a77f582e498d14ad09d336e6326ca3ae16ebd6518f3bae60",
+    ("solve-quadratic", "1", "0", "0", "--mod", "1062882"):
+        "fed3fe6595b6f132cdddde2f05a1e73e13887374913149e26bab018a281aedde",
 }
 
 

@@ -1,9 +1,10 @@
+import itertools
 import math
 import random
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from conftest import primes_upto, time_limit
 from quadres import core
@@ -402,6 +403,64 @@ def test_crt_combine_errors():
         crt_combine([ResidueSet(-7, (2,)), ResidueSet(5, (1,))])
     with pytest.raises(ValueError):
         crt_combine([ResidueSet(0, (0,))])
+
+
+def test_crt_combine_takes_any_iterable():
+    comps = [ResidueSet(5, (1, 4)), ResidueSet(7, (3,))]
+    expected = ResidueSet(35, (24, 31))
+    assert crt_combine(comps) == expected
+    assert crt_combine(c for c in comps) == expected
+    assert crt_combine(iter(comps)) == expected
+    with pytest.raises(ValueError, match="at least one component"):
+        crt_combine(c for c in [])
+
+
+def _crt_by_reduction(components):
+    """The reference CRT: every sum in full, each reduced mod n, then a set."""
+    if not components:
+        raise ValueError("at least one component is required")
+    mods = [comp.modulus for comp in components]
+    if min(mods) < 1:
+        raise ValueError(f"moduli must be positive, got {min(mods)}")
+    for m1, m2 in itertools.combinations(mods, 2):
+        if math.gcd(m1, m2) != 1:
+            raise NonCoprimeModuli(f"moduli {m1} and {m2} are not coprime")
+    n = math.prod(mods)
+    basis = [n // m * pow(n // m, -1, m) for m in mods]
+    sums = [0]
+    for comp, w in zip(components, basis):
+        sums = [s + x * w for s in sums for x in comp.residues]
+    return ResidueSet(n, tuple(sorted({s % n for s in sums})))
+
+
+@st.composite
+def _coprime_components(draw):
+    """1-5 components on pairwise coprime moduli from {1, 2^e, 3^e, 5^e, small
+    primes}; residue tuples may be empty, unreduced, negative or repeated."""
+    primes = draw(st.lists(st.sampled_from([2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41]),
+                           max_size=5, unique=True))
+    mods = [p ** draw(st.integers(1, 6 if p == 2 else 4 if p in (3, 5) else 1)) for p in primes]
+    mods += [1] * draw(st.integers(0 if mods else 1, 5 - len(mods)))
+    sizes = [draw(st.integers(1, 3)) for _ in mods]
+    if draw(st.integers(0, 9)) == 0:  # about one example in ten has no residues
+        sizes[0] = 0
+    return [
+        ResidueSet(m, tuple(draw(st.lists(st.integers(-3 * m, 3 * m), min_size=k, max_size=k))))
+        for m, k in zip(mods, sizes)
+    ]
+
+
+@settings(deadline=None)
+@given(_coprime_components())
+def test_crt_combine_matches_the_reduction_reference(comps):
+    expected = _crt_by_reduction(comps)
+    for order in itertools.permutations(comps):
+        assert crt_combine(order) == expected
+    n = expected.modulus
+    if n <= 20_000:
+        allowed = [{x % c.modulus for x in c.residues} for c in comps]
+        scan = tuple(x for x in range(n) if all(x % c.modulus in a for c, a in zip(comps, allowed)))
+        assert expected.residues == scan
 
 
 def test_crt_combine_size_and_membership():
