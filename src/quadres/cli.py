@@ -44,7 +44,9 @@ def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built on the first call and shared after it.
 
     Parsing keeps no state in the parser, so `main` can run any number of
-    requests in one process; callers must not add arguments to it.
+    requests in one process; callers must not add arguments to it. A request
+    that names a subcommand is parsed by that subcommand's parser alone, found
+    in `subcommands`; the top-level parser answers every other argv.
     """
     parser = argparse.ArgumentParser(
         prog="quadres",
@@ -55,6 +57,7 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="emit a JSON envelope")
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.subcommands = sub.choices
 
     p = sub.add_parser("jacobi", parents=[common], help="Jacobi symbol (a/n)")
     p.add_argument("a", type=int)
@@ -205,7 +208,10 @@ def _cmd_gaussian(args):
     arity = 2 if args.action in ("divrem", "gcd") else 1
     if len(args.args) != arity:
         raise _UsageError(f"gaussian {args.action} takes exactly {arity} argument(s)")
-    values = [zi.parse_gaussian(text) for text in args.args]
+    try:
+        values = [zi.parse_gaussian(text) for text in args.args]
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from None
     if args.action == "norm":
         value = zi.norm(values[0])
         return value, [str(value)]
@@ -295,7 +301,7 @@ def _cmd_verify(args, parser):
     if not request or request[0] == "verify":
         raise _UsageError("verify needs a supported subcommand to check")
     try:
-        inner = parser.parse_args(request)
+        inner = _parse(parser, request)
     except SystemExit:
         raise _UsageError(f"could not parse verify request {request!r}") from None
     if getattr(inner, "json", False):
@@ -338,15 +344,31 @@ _HANDLERS = {
 }
 
 
+# one encoder for every envelope: json.dumps(..., sort_keys=True) builds one per call
+_ENCODER = json.JSONEncoder(sort_keys=True)
+
+
 def _inputs(args) -> dict:
     skip = {"command", "json"}
     return {k: v for k, v in sorted(vars(args).items()) if k not in skip}
 
 
+def _parse(parser, argv):
+    """`parser.parse_args(argv)`, but an argv naming a subcommand goes straight to
+    that subcommand's parser; extra arguments get the top-level refusal."""
+    command = parser.subcommands.get(argv[0]) if argv else None
+    if command is None:
+        return parser.parse_args(argv)
+    args, extras = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+    if extras:
+        parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    return args
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parse(parser, sys.argv[1:] if argv is None else list(argv))
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
 
@@ -372,7 +394,7 @@ def main(argv=None) -> int:
             "status": status,
             "error": error,
         }
-        print(json.dumps(envelope, sort_keys=True))
+        print(_ENCODER.encode(envelope))
     else:
         for line in lines:
             print(line)

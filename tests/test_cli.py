@@ -1,5 +1,9 @@
 import hashlib
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -131,6 +135,13 @@ def test_gaussian_arity_usage_error(capsys):
     assert code == 2 and "usage error" in err
 
 
+def test_gaussian_malformed_literal_is_usage_error(capsys):
+    expected = "2\nusage error: invalid Gaussian integer literal: '3+x'\n"
+    assert _transcript(capsys, "gaussian", "norm", "--", "3+x") == expected
+    # a usage error has no envelope, with or without --json
+    assert _transcript(capsys, "gaussian", "--json", "norm", "--", "3+x") == expected
+
+
 def test_triples(capsys):
     code, out, _ = run(capsys, "pyth-triple", "2", "1")
     assert code == 0 and out == "4 3 5\n"
@@ -213,6 +224,47 @@ def test_parser_is_built_once_and_keeps_no_state(capsys):
     code, out, _ = run(capsys, "triples", "--max", "13")
     assert code == 0 and out.splitlines() == ["4 3 5", "12 5 13"]
     assert cli.build_parser.cache_info().misses == 1
+
+
+def test_module_entry_point_reads_sys_argv(capsys):
+    root = pathlib.Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (str(root / "src"), os.environ.get("PYTHONPATH")))
+    ))
+
+    def quadres(*argv):
+        return subprocess.run(
+            [sys.executable, "-m", "quadres.cli", *argv],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+
+    proc = quadres("jacobi", "365", "1847")
+    assert proc.returncode == 0 and proc.stdout == run(capsys, "jacobi", "365", "1847")[1]
+    proc = quadres()
+    assert proc.returncode == 2 and proc.stdout == "" and "usage: quadres" in proc.stderr
+
+
+def test_named_subcommand_skips_the_top_level_parse(capsys, monkeypatch):
+    parser = cli.build_parser()
+    calls = []
+    top_level = parser.parse_known_args
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return top_level(*args, **kwargs)
+
+    monkeypatch.setattr(parser, "parse_known_args", counted)
+    for argv, expected in (
+        (["jacobi", "2", "15"], 0),
+        (["verify", "--", "jacobi", "2", "15"], 0),
+        ([], 1),
+        (["-h"], 1),
+        (["no-such"], 1),
+    ):
+        calls.clear()
+        main(argv)
+        capsys.readouterr()
+        assert len(calls) == expected, argv
 
 
 # golden `--json` output: the bytes are part of the command's interface, so
@@ -422,6 +474,59 @@ def test_verify_output_is_unchanged(capsys, request_argv):
     both = _transcript(capsys, "verify", "--", *request_argv)
     both += _transcript(capsys, "verify", "--", *request_argv, "--json")
     assert hashlib.sha256(both.encode()).hexdigest() == GOLDEN_VERIFY_SHA256[request_argv]
+
+
+# refusals, help and edge placements, as SHA-256 of the exit code, stdout and
+# stderr; help is wrapped to COLUMNS
+GOLDEN_REFUSAL_SHA256 = {
+    ():
+        "381466373ddd97dd8738f66463e7fd39443bd80ba0f9ef5e893dc21cddba85dd",
+    ("-h",):
+        "254939db4aea9f37c7838488b048fac45087eacaf4b18fe119f05b3681d26f4a",
+    ("--he",):
+        "254939db4aea9f37c7838488b048fac45087eacaf4b18fe119f05b3681d26f4a",
+    ("no-such",):
+        "61e3a51e358dde107cbd7daa0bab172f0514714feebbf904c4ec8553ee6da69d",
+    ("--json", "jacobi", "2", "3"):
+        "66c47a1239f8f941c0f1a3762611029e4605e551b8733b73f26217a3db01f4b0",
+    ("jacobi", "2"):
+        "8de6332ca4d745e901c449634c830b7909ab222acf3b50e21922022b7351915a",
+    ("jacobi", "2", "3", "4"):
+        "68ed96013a3a5c1eb14765708b10bade9d39bf534c38f8b4bc5547aaaa98657b",
+    ("jacobi", "x", "3"):
+        "0932b4da1c947e58c4af75de1f415e17a086518dfda6ba705bd20c9539ebe653",
+    ("jacobi", "-h"):
+        "56d6d6a32d715555f26b1b21de29eccf4c55e48b2d48d76c18c7b1c14c4a693e",
+    ("jacobi", "--js", "2", "15"):
+        "d04f46deadf4ccd9a57851759c13808a127cf2d3e131f2a713e55821d094b118",
+    ("triples", "--ma", "20"):
+        "46216c0cd20a1ccd30557f46db49b93f74643a49fc6290752d629349bb9fb4ab",
+    ("triples", "--max=20"):
+        "46216c0cd20a1ccd30557f46db49b93f74643a49fc6290752d629349bb9fb4ab",
+    ("triples", "--max", "20", "extra"):
+        "fc7b0aeded4eb1679dab00d97b7607f7d301e291959db3ea07cf05c835d7d75e",
+    ("jacobi", "2", "--", "15"):
+        "82c1315e6c757f33c4a77ca58b2a184f5a88614470c05ec77f3d28918db6b8ae",
+    ("two-squares", "lis", "5"):
+        "8efafe2793dac8eecab135202f075633b546599a0a0e78f56e0e51b093ff8354",
+    ("legendre", "3", "7", "--method", "bogus"):
+        "c4eae5371d1720d25d4ae750575b13c662d09af5b583c4b9ee01496d5fff4a2c",
+    ("verify", "--", "jacobi", "2"):
+        "8ff5cca1749228c99eb55f35a43e4d658ab7918dec06309204649642b6c6f19c",
+    ("verify", "--", "jacobi", "2", "3", "4"):
+        "e00c01da4cd7380e1f28af68aa6b2eb1bee16fb39e9ff5b1991b61e64fa4d0f7",
+    ("verify", "--", "nope"):
+        "e7fbfa961e82d86a65b28cbb779668561e7e3cc9be113fcf35c35e62416918ed",
+}
+
+
+@pytest.mark.parametrize(
+    "argv", list(GOLDEN_REFUSAL_SHA256), ids=lambda argv: " ".join(argv) or "(none)"
+)
+def test_refusals_and_help_are_unchanged(capsys, monkeypatch, argv):
+    monkeypatch.setenv("COLUMNS", "80")
+    transcript = _transcript(capsys, *argv)
+    assert hashlib.sha256(transcript.encode()).hexdigest() == GOLDEN_REFUSAL_SHA256[argv]
 
 
 def test_verify_runs_the_requested_legendre_route(capsys, monkeypatch):
