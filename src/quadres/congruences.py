@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 
 from .core import ResidueSet
-from .errors import NotQuadratic
+from .errors import NotQuadratic, check_positive
 from .sqrtmod import _quadratic_roots
 
 
@@ -25,8 +25,7 @@ class QuadCongruence:
     n: int
 
     def __post_init__(self) -> None:
-        if self.n < 2:
-            raise ValueError("modulus must be at least 2")
+        check_positive("modulus", self.n)
         if self.a % self.n == 0:
             raise NotQuadratic(
                 f"a = {self.a} vanishes mod {self.n}; use solve_linear instead"
@@ -40,8 +39,7 @@ class QuadCongruence:
 def solve_linear(a: int, b: int, n: int) -> ResidueSet:
     """All x in [0, n) with a*x = b (mod n): empty unless gcd(a, n) | b,
     else exactly gcd(a, n) residues."""
-    if n < 2:
-        raise ValueError("modulus must be at least 2")
+    check_positive("modulus", n)
     a %= n
     b %= n
     g = math.gcd(a, n)

@@ -14,7 +14,7 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import BudgetExceeded, EvenModulus, NonCoprimeModuli
+from .errors import BudgetExceeded, EvenModulus, NonCoprimeModuli, ZeroOrUnit, check_positive
 
 # Miller-Rabin on the first 13 primes is deterministic below psi_13 (OEIS
 # A014233; Sorenson and Webster, Math. Comp. 86, 2017); on 12, below 3.19e23.
@@ -185,7 +185,7 @@ def factorize(n: int) -> Factorization:
     negative n reuses the cached factorization of -n.
     """
     if n == 0:
-        raise ValueError("0 has no prime factorization")
+        raise ZeroOrUnit("0 has no prime factorization")
     if n < 0:
         return Factorization(-1, factorize(-n).factors)
     m, e = _odd_part(n)
@@ -320,7 +320,7 @@ class ResidueSet:
 
 def crt_combine(components: Iterable[ResidueSet]) -> ResidueSet:
     """Combine residue sets modulo pairwise coprime moduli into all residues
-    mod the product.
+    mod the product; no components give the empty product, ResidueSet(1, (0,)).
 
     Every choice of one residue per component maps to exactly one residue
     x = sum(x_i * n_i * nbar_i) mod n, where n_i = n / m_i and nbar_i inverts
@@ -330,11 +330,8 @@ def crt_combine(components: Iterable[ResidueSet]) -> ResidueSet:
     map is a bijection and the terms are distinct, so the outputs are too.
     """
     components = tuple(components)
-    if not components:
-        raise ValueError("at least one component is required")
     mods = [comp.modulus for comp in components]
-    if min(mods) < 1:
-        raise ValueError(f"moduli must be positive, got {min(mods)}")
+    check_positive("moduli", min(mods, default=1))
     for m1, m2 in itertools.combinations(mods, 2):
         if math.gcd(m1, m2) != 1:
             raise NonCoprimeModuli(f"moduli {m1} and {m2} are not coprime")

@@ -8,7 +8,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import BadParameters
+from .errors import BadParameters, check_nonnegative, check_positive
 from .gaussian import GaussianInt
 from .two_squares import is_sum_of_two_squares
 
@@ -40,8 +40,7 @@ def enumerate_primitive_triples(r_max: int) -> list[PythTriple]:
     n runs over the values of opposite parity to m with m^2 + n^2 <= r_max,
     so only the coprimality of (m, n) is left to test.
     """
-    if r_max < 1:
-        raise ValueError("r_max must be positive")
+    check_positive("r_max", r_max)
     triples = []
     for m in range(2, math.isqrt(r_max - 1) + 1):
         mm = m * m
@@ -54,8 +53,7 @@ def enumerate_primitive_triples(r_max: int) -> list[PythTriple]:
 
 def cz2_solvable(c: int) -> bool:
     """X^2 + Y^2 = c*Z^2 has a nontrivial solution iff c is a sum of two squares."""
-    if c < 1:
-        raise ValueError("c must be positive")
+    check_positive("c", c)
     return is_sum_of_two_squares(c)
 
 
@@ -136,8 +134,7 @@ def vn_poly(n: int, x: int, y: int) -> int:
     only the last term survives, (-1)^n (2n+1) y^(2n). The cofactor is coprime
     to x only when gcd(x, 2n+1) = 1: vn_poly(1, 3, 2) = -3.
     """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
+    check_nonnegative("n", n)
     return sum(
         (-1) ** j * math.comb(2 * n + 1, 2 * j) * x ** (2 * (n - j)) * y ** (2 * j)
         for j in range(n + 1)
@@ -191,8 +188,7 @@ def enumerate_quadruples(w_max: int) -> list[PythQuadruple]:
     |u| <= |n| and |v| <= -m, or one of the maps would give an earlier one,
     and the scan runs over that domain alone, in lexicographic order.
     """
-    if w_max < 1:
-        raise ValueError("w_max must be positive")
+    check_positive("w_max", w_max)
     seen: dict[tuple[int, int, int, int], PythQuadruple] = {}
     for m in range(-math.isqrt(w_max), 0):
         mm = m * m

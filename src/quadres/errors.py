@@ -1,8 +1,10 @@
-"""Exception types shared across the library.
+"""Exception types shared across the library, and its one domain check.
 
-Everything derives from NumberTheoryError (a ValueError), so callers can
-catch domain failures with a single except clause while tests pin the
-precise condition.
+Every refusal of the library is a NumberTheoryError (a ValueError), so
+callers can catch domain failures with a single except clause while tests
+pin the precise condition. `check_positive` and `check_nonnegative` are the
+only checks of a modulus or bound: every modulus n >= 1 is accepted, n = 1
+with the single residue 0.
 """
 
 
@@ -38,6 +40,10 @@ class ZeroArgument(NumberTheoryError):
     """Zero has no associates."""
 
 
+class DivisionByZero(ZeroArgument, ZeroDivisionError):
+    """Division by zero in Z(i); also a ZeroDivisionError."""
+
+
 class BothZero(NumberTheoryError):
     """gcd(0, 0) is undefined in Z(i)."""
 
@@ -55,9 +61,21 @@ class NotARoot(NumberTheoryError):
 
 
 class BadParameters(NumberTheoryError):
-    """Generator parameters violate the documented preconditions."""
+    """Parameters violate the documented preconditions: a modulus or bound
+    below 1, a negative count or exponent, or generator parameters outside
+    their domain."""
 
 
 class BudgetExceeded(NumberTheoryError):
     """Work would exceed a fixed budget: a brute-force oracle scan, or the
     Pollard-Brent rho steps `factorize` may spend on one composite cofactor."""
+
+
+def check_positive(name: str, n: int) -> None:
+    if n < 1:
+        raise BadParameters(f"{name} must be positive")
+
+
+def check_nonnegative(name: str, n: int) -> None:
+    if n < 0:
+        raise BadParameters(f"{name} must be nonnegative")

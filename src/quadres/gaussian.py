@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 
 from .core import is_prime
-from .errors import BothZero, ZeroArgument, ZeroOrUnit
+from .errors import BothZero, DivisionByZero, ZeroArgument, ZeroOrUnit, check_nonnegative
 from .two_squares import _split_factorization, represent_prime
 
 
@@ -38,8 +38,7 @@ class GaussianInt:
         return GaussianInt(-self.re, -self.im)
 
     def __pow__(self, e: int) -> "GaussianInt":
-        if e < 0:
-            raise ValueError("exponent must be nonnegative")
+        check_nonnegative("exponent", e)
         result = GaussianInt(1, 0)
         base = self
         while e:
@@ -124,7 +123,7 @@ def div_rem(alpha: GaussianInt, beta: GaussianInt) -> tuple[GaussianInt, Gaussia
     integer, ties toward the floor, which makes the pair deterministic.
     """
     if beta == ZERO:
-        raise ZeroDivisionError("division by zero in Z(i)")
+        raise DivisionByZero("division by zero in Z(i)")
     q1, q2, r1, r2 = _div_rem_ints(alpha.re, alpha.im, beta.re, beta.im)
     return GaussianInt(q1, q2), GaussianInt(r1, r2)
 

@@ -20,7 +20,8 @@ import math
 
 from .congruences import QuadCongruence, solve_linear
 from .core import ResidueSet, factorize
-from .errors import BudgetExceeded, EvenModulus, NotARoot, NotCoprime
+from .errors import BadParameters, BudgetExceeded, EvenModulus, NotARoot, NotCoprime
+from .errors import check_nonnegative, check_positive
 from .sqrtmod import _quadratic_roots
 from .symbols import _check_odd_prime, legendre_euler
 from .two_squares import TwoSquareRep
@@ -55,16 +56,14 @@ def ext_gcd(a: int, b: int) -> tuple[int, int, int]:
 
 def brute_sqrt_mod(a: int, n: int) -> ResidueSet:
     """All x in [0, n) with x^2 = a (mod n), by full scan."""
-    if n < 1:
-        raise ValueError("modulus must be positive")
+    check_positive("modulus", n)
     _check_budget(n)
     return ResidueSet(n, tuple(x for x in range(n) if (x * x - a) % n == 0))
 
 
 def brute_quadratic(a: int, b: int, c: int, n: int) -> ResidueSet:
     """All x in [0, n) with a*x^2 + b*x + c = 0 (mod n), by full scan."""
-    if n < 1:
-        raise ValueError("modulus must be positive")
+    check_positive("modulus", n)
     _check_budget(n)
     return ResidueSet(n, tuple(x for x in range(n) if (a * x * x + b * x + c) % n == 0))
 
@@ -92,8 +91,7 @@ def completing_square_quadratic(q: QuadCongruence) -> ResidueSet:
 
 def brute_two_squares(n: int) -> list[TwoSquareRep]:
     """All ordered signed (A, B) with A^2 + B^2 = n, by lattice scan."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
+    check_nonnegative("n", n)
     _check_budget(n)
     reps = []
     r = math.isqrt(n)
@@ -116,7 +114,7 @@ def pigeonhole_rep_from_root(k: int, n: int) -> TwoSquareRep:
     coordinates when the signs disagree), is the representation.
     """
     if n < 2:
-        raise ValueError("modulus must be at least 2")
+        raise BadParameters("modulus must be at least 2")
     if (k * k + 1) % n != 0:
         raise NotARoot(f"{k}^2 != -1 (mod {n})")
     _check_budget(n)
@@ -194,8 +192,7 @@ def jacobi_by_definition(a: int, n: int) -> int:
 def count_representations_by_divisors(n: int) -> int:
     """r(n): ordered signed pairs with A^2 + B^2 = n, as 4*(d1 - d3) over
     the divisors of n congruent to 1 and 3 mod 4; r(0) = 1."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
+    check_nonnegative("n", n)
     if n == 0:
         return 1
     divisors = [1]

@@ -30,7 +30,7 @@ from __future__ import annotations
 import math
 
 from .core import ResidueSet, _odd_part, crt_combine, factorize
-from .errors import NotCoprime
+from .errors import NotCoprime, check_positive
 from .symbols import _check_odd_prime, legendre_euler
 
 
@@ -113,8 +113,6 @@ def _quadratic_prime_power_roots(a: int, b: int, c: int, p: int, e: int) -> tupl
 
 def _quadratic_roots(a: int, b: int, c: int, n: int) -> ResidueSet:
     """All roots of a*X^2 + b*X + c = 0 (mod n), n >= 1; see the module docstring."""
-    if n == 1:
-        return ResidueSet(1, (0,))
     parts = []
     for p, e in factorize(n).factors:
         roots = _quadratic_prime_power_roots(a, b, c, p, e)
@@ -131,8 +129,7 @@ def sqrt_mod(a: int, n: int) -> ResidueSet:
     the exponent of 2 in n being <= 1, = 2 or >= 3, with s the number of odd
     prime divisors.
     """
-    if n < 1:
-        raise ValueError("modulus must be positive")
+    check_positive("modulus", n)
     if math.gcd(a, n) != 1:
         raise NotCoprime(f"gcd({a}, {n}) != 1")
     return _quadratic_roots(1, 0, -a, n)
@@ -144,12 +141,9 @@ def is_quadratic_residue(a: int, n: int) -> bool:
     Checks (a/p) = 1 at every odd prime divisor plus the 2-adic condition
     a = 1 mod 2, 4 or 8 depending on the power of 2 dividing n.
     """
-    if n < 1:
-        raise ValueError("modulus must be positive")
+    check_positive("modulus", n)
     if math.gcd(a, n) != 1:
         raise NotCoprime(f"gcd({a}, {n}) != 1")
-    if n == 1:
-        return True
     for p, e in factorize(n).factors:
         if p == 2:
             if e == 2 and a % 4 != 1:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .core import factorize, is_prime
-from .errors import NotARoot, NotPrime, WrongResidueClass
+from .errors import BadParameters, NotARoot, NotPrime, WrongResidueClass, check_nonnegative
 from .sqrtmod import sqrt_mod_prime
 
 
@@ -38,8 +38,7 @@ def is_sum_of_two_squares(n: int) -> bool:
 def has_primitive_representation(n: int) -> bool:
     """True iff 4 does not divide n and no prime q = 3 (mod 4) divides n,
     read off `_split_factorization`; False at n = 0, since gcd(0, 0) = 0."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
+    check_nonnegative("n", n)
     if n == 0:
         return False
     g, inert, _ = _split_factorization(n)
@@ -59,7 +58,7 @@ def rep_from_root(k: int, n: int) -> TwoSquareRep:
     reference this is tested against.
     """
     if n < 2:
-        raise ValueError("modulus must be at least 2")
+        raise BadParameters("modulus must be at least 2")
     if (k * k + 1) % n != 0:
         raise NotARoot(f"{k}^2 != -1 (mod {n})")
     a, b = n, k % n
@@ -122,8 +121,7 @@ def _unit_multiples(values):
 def count_representations(n: int) -> int:
     """r(n): ordered signed pairs with A^2 + B^2 = n, as 4 * prod(1 + e) over
     p = 1 (mod 4), zero when any q = 3 (mod 4) has odd exponent; r(0) = 1."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
+    check_nonnegative("n", n)
     if n == 0:
         return 1
     _, inert, split = _split_factorization(n)
@@ -139,8 +137,7 @@ def all_representations(n: int) -> list[TwoSquareRep]:
     Gaussian factorization of n; the list length equals r(n), so n = 0
     gives the one pair (0, 0).
     """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
+    check_nonnegative("n", n)
     if n == 0:
         return [TwoSquareRep(0, 0, False)]
     g, inert, split = _split_factorization(n)

@@ -383,7 +383,8 @@ def test_plain_output_digest_is_unchanged(capsys, argv):
 
 # `verify` on each request it supports, as SHA-256 of the exit code, stdout
 # and stderr of the plain run followed by those of the `--json` run; refusals
-# included. The value is read from the named subcommand's own handler.
+# included. The value is read from the named subcommand's own handler. A
+# transcript that changed on purpose is written out in place of its digest.
 GOLDEN_VERIFY_SHA256 = {
     ("legendre", "2", "7"):
         "ce0e251e8a9e35977ebe29c0694a5527fdb686990f7f6986ba230b5375952c49",
@@ -421,8 +422,12 @@ GOLDEN_VERIFY_SHA256 = {
         "5891c96e07073df2ee6cd4eb5fb7c980e41b940a980f48e95b802e56efacba42",
     ("solve-quadratic", "0", "1", "1", "--mod", "5"):
         "81fa9b9df49feaf717303c9adf93d6f2a5ebe3b2b500ba4bc57c661e55f91473",
+    # n = 0 is below 1, the least modulus
     ("solve-quadratic", "1", "1", "1", "--mod", "0"):
-        "36de5e197860d21fab0a1d27378bba94109a464f6723ff3ea521875165c56d60",
+        "1\nerror: modulus must be positive\n"
+        '1\n{"command": "verify", "error": "modulus must be positive", "inputs": '
+        '{"request": ["--", "solve-quadratic", "1", "1", "1", "--mod", "0", "--json"]}, '
+        '"result": null, "status": "error"}\n',
     ("two-squares", "count", "0"):
         "5aee5e3fffd8e3802fdc425e51ad78806ccd3d7cf7c2729ed31e4e0e38f1f94a",
     ("two-squares", "count", "25"):
@@ -469,11 +474,15 @@ def _transcript(capsys, *argv):
     return f"{code}\n{out}{err}"
 
 
+def _is_golden(transcript, expected):
+    return expected in (transcript, hashlib.sha256(transcript.encode()).hexdigest())
+
+
 @pytest.mark.parametrize("request_argv", list(GOLDEN_VERIFY_SHA256), ids=" ".join)
 def test_verify_output_is_unchanged(capsys, request_argv):
     both = _transcript(capsys, "verify", "--", *request_argv)
     both += _transcript(capsys, "verify", "--", *request_argv, "--json")
-    assert hashlib.sha256(both.encode()).hexdigest() == GOLDEN_VERIFY_SHA256[request_argv]
+    assert _is_golden(both, GOLDEN_VERIFY_SHA256[request_argv])
 
 
 # refusals, help and edge placements, as SHA-256 of the exit code, stdout and
@@ -517,16 +526,58 @@ GOLDEN_REFUSAL_SHA256 = {
         "e00c01da4cd7380e1f28af68aa6b2eb1bee16fb39e9ff5b1991b61e64fa4d0f7",
     ("verify", "--", "nope"):
         "e7fbfa961e82d86a65b28cbb779668561e7e3cc9be113fcf35c35e62416918ed",
+    # domain refusals of the library, each plain and with --json
+    ("two-squares", "count", "-1"):
+        "f595008eca9e721e3e43bf86e2e157cc08a508dea6e44126c69cecded4d81373",
+    ("two-squares", "count", "-1", "--json"):
+        "59c28692fe65e9f66ea0dadc7eb8f298ce90cc93dcb019f7886da8988c20ecbe",
+    ("triples", "--max", "0"):
+        "5c4133f9ac33fd4170be02637e354531b01a602f93050b029a5c58d42c91a9b0",
+    ("triples", "--max", "0", "--json"):
+        "c688aa78c3d0bda9b2be0d9f59bfb674d5cfb2b901cb519e555f95b681c27896",
+    ("quadruples", "--max", "0"):
+        "0173de564e50fd2a0deed65dfdad59b48c7504b2879d5cf89d3718fc17f19912",
+    ("quadruples", "--max", "0", "--json"):
+        "2e4c5e323130ac856ef744af215271d32440ff726cb567f2a443d45c8ee88574",
+    ("sqrtmod", "4", "0"):
+        "bc62cfd5a1119d050408382d26abe52db0211d57a74533dda374c3aed5e8a566",
+    ("sqrtmod", "4", "0", "--json"):
+        "35f2a21311a45292a52f93b4aaccbb68937b2e2b83e15286fd411fbd8f0bc0b2",
+    # n = 0 is below 1, the least modulus
+    ("solve-linear", "1", "1", "--mod", "0"):
+        "1\nerror: modulus must be positive\n",
+    ("solve-linear", "1", "1", "--mod", "0", "--json"):
+        '1\n{"command": "solve-linear", "error": "modulus must be positive", '
+        '"inputs": {"a": 1, "b": 1, "mod": 0}, "result": null, "status": "error"}\n',
+    ("gaussian", "divrem", "1+i", "0"):
+        "486769c424484c06bff375ca1110c54e79d8e5c6ee9557473ba6123c6ae7a6bc",
+    ("gaussian", "divrem", "1+i", "0", "--json"):
+        "2457dc1cb639975cbece4c77dfc72172f473caaf61deced4b51707f89c5dcb33",
+    ("gaussian", "factor", "0"):
+        "1482cd2cbf0dedc7ce63f28a6218beae4b4d15db8d3eb386155666545f2e1308",
+    ("gaussian", "factor", "0", "--json"):
+        "84807051f054c55fefc8032443223d0e4722300e405b499c8e0176b81ca62766",
+    # results too long for str(): Python refuses past 4,300 digits
+    ("zl", "20000", "2", "1"):
+        "def8c5e88a6502bd73b9bb818b900ec53de9ad79909e073bcee227aa16014775",
+    ("zl", "20000", "2", "1", "--json"):
+        "bd2622bef59f9bc2b19d4a8789ed6daf8d96d40c21ac1e66a2edc984d508b1cd",
+    ("pyth-triple", "9" * 4000, "2"):
+        "def8c5e88a6502bd73b9bb818b900ec53de9ad79909e073bcee227aa16014775",
+    ("pyth-triple", "9" * 4000, "2", "--json"):
+        "f312b8e0f02fa40552eb42cb8b6da54b1b8854bad8b23d34523f68f4981d2f0d",
 }
 
 
-@pytest.mark.parametrize(
-    "argv", list(GOLDEN_REFUSAL_SHA256), ids=lambda argv: " ".join(argv) or "(none)"
-)
+def _argv_id(argv):
+    return " ".join(arg if len(arg) <= 40 else f"<{len(arg)} chars>" for arg in argv) or "(none)"
+
+
+@pytest.mark.parametrize("argv", list(GOLDEN_REFUSAL_SHA256), ids=_argv_id)
 def test_refusals_and_help_are_unchanged(capsys, monkeypatch, argv):
     monkeypatch.setenv("COLUMNS", "80")
     transcript = _transcript(capsys, *argv)
-    assert hashlib.sha256(transcript.encode()).hexdigest() == GOLDEN_REFUSAL_SHA256[argv]
+    assert _is_golden(transcript, GOLDEN_REFUSAL_SHA256[argv])
 
 
 def test_verify_runs_the_requested_legendre_route(capsys, monkeypatch):

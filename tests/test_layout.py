@@ -1,6 +1,6 @@
 """Package layout: the reference routes in `oracle` stay out of the fast paths,
-every exported name resolves, every error type is raised somewhere, and the
-cached functions keep their caches."""
+every exported name resolves, every error type is raised somewhere, refusals
+are typed, and the cached functions keep their caches."""
 
 import ast
 import pathlib
@@ -93,3 +93,18 @@ def test_every_error_class_is_raised():
         and value is not errors.NumberTheoryError
     }
     assert sorted(defined - raised) == []
+
+
+def test_no_untyped_refusals():
+    # a refusal is a NumberTheoryError; only the literal parser raises a bare
+    # ValueError, which the CLI turns into a usage error
+    untyped = sorted(
+        (path.name, getattr(top, "name", None), exc.id)
+        for path in SRC.glob("*.py")
+        for top in ast.parse(path.read_text()).body
+        for node in ast.walk(top)
+        if isinstance(node, ast.Raise)
+        and isinstance(exc := getattr(node.exc, "func", node.exc), ast.Name)
+        and exc.id in ("ValueError", "ZeroDivisionError")
+    )
+    assert untyped == [("gaussian.py", "parse_gaussian", "ValueError")] * 2
