@@ -24,6 +24,7 @@ from .diophantine import (
     pyth_triple,
     zl_solution,
 )
+from .errors import NumberTheoryError
 from .sqrtmod import sqrt_mod
 from .symbols import jacobi, legendre_euler
 from .two_squares import (
@@ -382,9 +383,12 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    # every library refusal is a ValueError, and so is str() of an int past 4,300 digits
-    except ValueError as exc:
+    except NumberTheoryError as exc:
         status, error, code = "error", str(exc), 1
+    # not a library refusal: str() of an int past Python's digit limit
+    except ValueError:
+        digits = sys.get_int_max_str_digits()
+        status, error, code = "error", f"result has more than {digits} digits", 1
 
     if args.json:
         envelope = {

@@ -10,8 +10,8 @@ starting from g = f, k = e, x0 = 0, s = 1:
 1. Divide out the p-content of g, lowering k by one per factor p. At k = 0
    every Y is a root, so X = x0 (mod s) and all its p^e/s lifts are roots.
 2. Find the roots r of g mod p: for odd p, (t - b)/(2a) over the square roots
-   t of the discriminant (`sqrt_mod_prime`), or -c/b when p | a; for p = 2,
-   whichever of 0 and 1 is a root.
+   t of the discriminant (`sqrt_mod_prime`, Tonelli-Shanks for every p), or
+   -c/b when p | a; for p = 2, whichever of 0 and 1 is a root.
 3. Where g'(r) is a unit mod p, Newton's iteration lifts r to the unique root
    mod p^k, which fixes X mod d = s*p^k; its p^e/d lifts are roots. Where it
    is not, r is a repeated root: shift Y = r + pZ and push
@@ -29,52 +29,47 @@ from __future__ import annotations
 
 import math
 
-from .core import ResidueSet, _odd_part, crt_combine, factorize
+from .core import ResidueSet, _odd_part, crt_combine, factorize, jacobi
 from .errors import NotCoprime, check_positive
 from .symbols import _check_odd_prime, legendre_euler
-
-
-def _tonelli_shanks(a: int, p: int) -> int:
-    # a is a known quadratic residue of the odd prime p
-    q, s = _odd_part(p - 1)
-    z = 2
-    while pow(z, (p - 1) // 2, p) != p - 1:
-        z += 1
-    c = pow(z, q, p)
-    x = pow(a, (q + 1) // 2, p)
-    t = pow(a, q, p)
-    m = s
-    while t != 1:
-        t2 = t
-        i = 0
-        while t2 != 1:
-            t2 = t2 * t2 % p
-            i += 1
-        b = pow(c, 1 << (m - i - 1), p)
-        x = x * b % p
-        c = b * b % p
-        t = t * c % p
-        m = i
-    return x
 
 
 def sqrt_mod_prime(a: int, p: int) -> ResidueSet:
     """Solutions of X^2 = a (mod p), p an odd prime, gcd(a, p) = 1.
 
-    Empty when a is a non-residue, else exactly {b, p - b}. Uses the
-    closed form a^((p+1)/4) for p = 3 (mod 4) and Tonelli-Shanks otherwise.
+    Empty when a is a non-residue, else exactly {b, p - b}, by Tonelli-Shanks
+    (Cohen, Alg. 1.5.1). With p - 1 = q * 2^s, q odd, Euler's criterion is
+    (a^q)^(2^(s-1)) = 1; for s = 1, i.e. p = 3 (mod 4), the root is the closed
+    form a^((p+1)/4) and no non-residue is sought.
     """
     _check_odd_prime(p)
     if math.gcd(a, p) != 1:
         raise NotCoprime(f"gcd({a}, {p}) != 1")
     a %= p
-    if pow(a, (p - 1) // 2, p) != 1:
+    q, s = _odd_part(p - 1)
+    w = pow(a, (q - 1) // 2, p)  # one power for x = a^((q+1)/2) and t = a^q
+    x = a * w % p
+    t = x * w % p
+    if pow(t, 1 << (s - 1), p) != 1:
         return ResidueSet(p, ())
-    if p % 4 == 3:
-        b = pow(a, (p + 1) // 4, p)
-    else:
-        b = _tonelli_shanks(a, p)
-    return ResidueSet(p, tuple(sorted((b, p - b))))
+    if t != 1:
+        z = 2
+        while jacobi(z, p) != -1:
+            z += 1
+        c = pow(z, q, p)
+        m = s
+        while t != 1:
+            t2 = t
+            i = 0
+            while t2 != 1:
+                t2 = t2 * t2 % p
+                i += 1
+            b = pow(c, 1 << (m - i - 1), p)
+            x = x * b % p
+            c = b * b % p
+            t = t * c % p
+            m = i
+    return ResidueSet(p, tuple(sorted((x, p - x))))
 
 
 def _quadratic_prime_power_roots(a: int, b: int, c: int, p: int, e: int) -> tuple[int, ...]:

@@ -212,7 +212,8 @@ def test_criterion_07_quadratic_oracle_sweep():
 def test_criterion_08_representation_count_identity():
     t0 = time.perf_counter()
     failures = []
-    for n in range(1, 10**4 + 1):
+    # from n = 0, whose one representation is 0 = 0^2 + 0^2
+    for n in range(10**4 + 1):
         by_divisors = count_representations_by_divisors(n)
         by_exponents = count_representations(n)
         lattice = len(brute_two_squares(n))

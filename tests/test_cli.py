@@ -526,6 +526,10 @@ GOLDEN_REFUSAL_SHA256 = {
         "e00c01da4cd7380e1f28af68aa6b2eb1bee16fb39e9ff5b1991b61e64fa4d0f7",
     ("verify", "--", "nope"):
         "e7fbfa961e82d86a65b28cbb779668561e7e3cc9be113fcf35c35e62416918ed",
+    ("verify",):
+        "a7c9f54c37de7e4c6e200cb4d3aef8907e062f423ca6571d228688faa5055295",
+    ("verify", "--", "verify", "jacobi", "1", "3"):
+        "a7c9f54c37de7e4c6e200cb4d3aef8907e062f423ca6571d228688faa5055295",
     # domain refusals of the library, each plain and with --json
     ("two-squares", "count", "-1"):
         "f595008eca9e721e3e43bf86e2e157cc08a508dea6e44126c69cecded4d81373",
@@ -559,13 +563,15 @@ GOLDEN_REFUSAL_SHA256 = {
         "84807051f054c55fefc8032443223d0e4722300e405b499c8e0176b81ca62766",
     # results too long for str(): Python refuses past 4,300 digits
     ("zl", "20000", "2", "1"):
-        "def8c5e88a6502bd73b9bb818b900ec53de9ad79909e073bcee227aa16014775",
+        "1\nerror: result has more than 4300 digits\n",
     ("zl", "20000", "2", "1", "--json"):
-        "bd2622bef59f9bc2b19d4a8789ed6daf8d96d40c21ac1e66a2edc984d508b1cd",
+        '1\n{"command": "zl", "error": "result has more than 4300 digits", '
+        '"inputs": {"a": 2, "b": 1, "l": 20000}, "result": null, "status": "error"}\n',
     ("pyth-triple", "9" * 4000, "2"):
-        "def8c5e88a6502bd73b9bb818b900ec53de9ad79909e073bcee227aa16014775",
+        "1\nerror: result has more than 4300 digits\n",
     ("pyth-triple", "9" * 4000, "2", "--json"):
-        "f312b8e0f02fa40552eb42cb8b6da54b1b8854bad8b23d34523f68f4981d2f0d",
+        '1\n{"command": "pyth-triple", "error": "result has more than 4300 digits", '
+        f'"inputs": {{"m": {"9" * 4000}, "n": 2}}, "result": null, "status": "error"}}\n',
 }
 
 

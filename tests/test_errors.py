@@ -9,7 +9,9 @@ import pytest
 from quadres import core, diophantine, gaussian, oracle, sqrtmod, two_squares
 from quadres.congruences import QuadCongruence, solve_linear
 from quadres.core import ResidueSet
-from quadres.errors import BadParameters, DivisionByZero, NotQuadratic, ZeroOrUnit
+from quadres.errors import (
+    BadParameters, DivisionByZero, NotARoot, NotQuadratic, ZeroArgument, ZeroOrUnit,
+)
 from quadres.gaussian import GaussianInt
 
 # each refused call, evaluated as written, with the type and message it raises
@@ -30,12 +32,14 @@ REFUSALS = {
     "gaussian.div_rem(GaussianInt(1, 1), GaussianInt())": (
         DivisionByZero, "division by zero in Z(i)"
     ),
+    "gaussian.canonical_associate(GaussianInt())": (ZeroArgument, "zero has no associates"),
     "core.crt_combine([ResidueSet(0, (0,))])": (BadParameters, "moduli must be positive"),
     "core.factorize(0)": (ZeroOrUnit, "0 has no prime factorization"),
     "oracle.brute_sqrt_mod(4, 0)": (BadParameters, "modulus must be positive"),
     "oracle.brute_quadratic(1, 0, -4, 0)": (BadParameters, "modulus must be positive"),
     "oracle.brute_two_squares(-1)": (BadParameters, "n must be nonnegative"),
     "oracle.pigeonhole_rep_from_root(0, 1)": (BadParameters, "modulus must be at least 2"),
+    "oracle.pigeonhole_rep_from_root(2, 7)": (NotARoot, "2^2 != -1 (mod 7)"),
     "oracle.count_representations_by_divisors(-1)": (BadParameters, "n must be nonnegative"),
 }
 

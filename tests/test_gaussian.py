@@ -47,6 +47,13 @@ def test_norm_multiplicative(a, b, c, d):
     assert norm(x * y) == norm(x) * norm(y)
 
 
+@given(st.integers(-60, 60), st.integers(-60, 60), st.integers(-60, 60), st.integers(-60, 60))
+def test_sub_and_neg(a, b, c, d):
+    x, y = Z(a, b), Z(c, d)
+    assert x - y == Z(a - c, b - d) == x + -y
+    assert -x == Z(-a, -b)
+
+
 def test_units():
     assert is_unit(Z(0, 1))
     assert is_unit(Z(-1, 0))

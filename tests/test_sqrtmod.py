@@ -1,8 +1,10 @@
 import math
+import random
 
 import pytest
 
 from conftest import odd_primes_upto, time_limit
+from quadres import sqrtmod
 from quadres.cli import main
 from quadres.congruences import QuadCongruence, solve_quadratic
 from quadres.errors import NotCoprime, NotOddPrime
@@ -36,6 +38,79 @@ def test_sqrt_mod_prime_sweep():
             got = sqrt_mod_prime(a, p).residues
             assert got == brute_sqrt_mod(a, p).residues, (a, p)
             assert len(got) in (0, 2)
+
+
+# p - 1 = q * 2^s with s = 16, 20, 23, 30 and 32: the loop runs up to s - 1 rounds
+HIGH_TWO_ADIC_PRIMES = {
+    65537: 16,
+    7340033: 20,
+    998244353: 23,
+    3 * 2**30 + 1: 30,
+    2**64 - 2**32 + 1: 32,
+}
+
+
+def _two_adic_valuation(m):
+    return (m & -m).bit_length() - 1
+
+
+def _prime_in_class(sympy, start, mod, residue):
+    p = start + (residue - start) % mod
+    while not sympy.isprime(p):
+        p += mod
+    return p
+
+
+def _residues_and_non_residues(sympy, p, rng):
+    squares = [pow(rng.randrange(1, p), 2, p) for _ in range(6)]
+    non_residues = []
+    while len(non_residues) < 6:
+        a = rng.randrange(1, p)
+        if sympy.legendre_symbol(a, p) == -1:
+            non_residues.append(a)
+    return [1, p - 1, *squares, *non_residues]
+
+
+def test_sqrt_mod_prime_matches_sympy_at_high_two_adic_valuation():
+    sympy = pytest.importorskip("sympy")
+    for p, s in HIGH_TWO_ADIC_PRIMES.items():
+        assert sympy.isprime(p) and _two_adic_valuation(p - 1) == s, p
+    # s = 1, s = 2 and s >= 8, near 10^18 and 10^30
+    primes = [*HIGH_TWO_ADIC_PRIMES] + [
+        _prime_in_class(sympy, start, mod, residue)
+        for start in (10**18, 10**30)
+        for mod, residue in ((4, 3), (8, 5), (256, 1))
+    ]
+    rng = random.Random(20)
+    for p in primes:
+        for a in _residues_and_non_residues(sympy, p, rng):
+            expected = tuple(sorted(sympy.sqrt_mod(a, p, all_roots=True)))
+            with time_limit(1):
+                got = sqrt_mod_prime(a, p).residues
+            assert got == expected, (a, p)
+            assert len(expected) == (2 if sympy.legendre_symbol(a, p) == 1 else 0)
+
+
+def test_sqrt_mod_prime_seeks_a_non_residue_only_when_the_loop_runs(monkeypatch):
+    # p = 3 (mod 4) is the closed form, and Euler's criterion refuses a
+    # non-residue before any search; else the search stops at the least one
+    calls = []
+
+    def counted(z, p):
+        calls.append(p)
+        return jacobi(z, p)
+
+    monkeypatch.setattr(sqrtmod, "jacobi", counted)
+    for p in [*odd_primes_upto(250), 65537, 998244353, 10**18 + 3, 10**18 + 9]:
+        least = next(z for z in range(2, p) if jacobi(z, p) == -1)
+        for a in range(1, min(p, 250)):
+            calls.clear()
+            roots = sqrt_mod_prime(a, p).residues
+            t = pow(a, (p - 1) >> _two_adic_valuation(p - 1), p)
+            if p % 4 == 3 or not roots or t == 1:
+                assert calls == [], (a, p)
+            else:
+                assert calls == [p] * (least - 1), (a, p)
 
 
 def test_lift_odd_prime_power_examples():
