@@ -155,12 +155,6 @@ def _residue_lines(rs) -> list[str]:
     return [str(x) for x in rs.residues]
 
 
-def _fields(obj) -> dict:
-    # the result dataclasses hold only ints and bools: a shallow copy of the
-    # fields is all the payload needs, not a recursive deep copy
-    return dict(vars(obj))
-
-
 def _rep_lines(reps) -> list[str]:
     return [f"{rep.a} {rep.b}" for rep in reps]
 
@@ -201,7 +195,7 @@ def _cmd_two_squares(args):
         reps = primitive_representations(args.n)
     else:
         reps = [represent_prime(args.n)]
-    return [_fields(rep) for rep in reps], _rep_lines(reps)
+    return [rep._asdict() for rep in reps], _rep_lines(reps)
 
 
 def _cmd_gaussian(args):
@@ -238,12 +232,12 @@ def _cmd_gaussian(args):
 
 def _cmd_pyth_triple(args):
     triple = pyth_triple(args.m, args.n)
-    return _fields(triple), [f"{triple.s} {triple.t} {triple.r}"]
+    return triple._asdict(), [f"{triple.s} {triple.t} {triple.r}"]
 
 
 def _cmd_triples(args):
     triples = enumerate_primitive_triples(args.max)
-    return [_fields(t) for t in triples], [f"{t.s} {t.t} {t.r}" for t in triples]
+    return [t._asdict() for t in triples], [f"{t.s} {t.t} {t.r}" for t in triples]
 
 
 def _cmd_cz2(args):
@@ -251,22 +245,22 @@ def _cmd_cz2(args):
         args.c, args.d3, args.uv[0], args.uv[1], args.g,
         pyth_triple(args.triple[0], args.triple[1]),
     )
-    return _fields(sol), [f"{sol.x} {sol.y} {sol.z}"]
+    return sol._asdict(), [f"{sol.x} {sol.y} {sol.z}"]
 
 
 def _cmd_zl(args):
     sol = zl_solution(args.l, args.a, args.b)
-    return _fields(sol), [f"{sol.x} {sol.y} {sol.z}"]
+    return sol._asdict(), [f"{sol.x} {sol.y} {sol.z}"]
 
 
 def _cmd_quadruple(args):
     quad = pyth_quadruple(args.m, args.n, args.u, args.v)
-    return _fields(quad), [f"{quad.x} {quad.y} {quad.z} {quad.w}"]
+    return quad._asdict(), [f"{quad.x} {quad.y} {quad.z} {quad.w}"]
 
 
 def _cmd_quadruples(args):
     quads = enumerate_quadruples(args.max)
-    return [_fields(q) for q in quads], [f"{q.x} {q.y} {q.z} {q.w}" for q in quads]
+    return [q._asdict() for q in quads], [f"{q.x} {q.y} {q.z} {q.w}" for q in quads]
 
 
 def _scan_two_squares(args):

@@ -8,28 +8,40 @@ follows the factorization of n and the number of roots, not the size of a.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from .core import ResidueSet
+from .core import ResidueSet, _frozen
 from .errors import NotQuadratic, check_positive
 from .sqrtmod import _quadratic_roots
 
 
-@dataclass(frozen=True)
 class QuadCongruence:
     """The congruence a*X^2 + b*X + c = 0 (mod n) with a not vanishing mod n."""
 
-    a: int
-    b: int
-    c: int
-    n: int
+    __slots__ = ("a", "b", "c", "n")
+    __setattr__ = __delattr__ = _frozen
 
-    def __post_init__(self) -> None:
-        check_positive("modulus", self.n)
-        if self.a % self.n == 0:
-            raise NotQuadratic(
-                f"a = {self.a} vanishes mod {self.n}; use solve_linear instead"
-            )
+    def __init__(self, a: int, b: int, c: int, n: int) -> None:
+        check_positive("modulus", n)
+        if a % n == 0:
+            raise NotQuadratic(f"a = {a} vanishes mod {n}; use solve_linear instead")
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "c", c)
+        object.__setattr__(self, "n", n)
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not QuadCongruence:
+            return NotImplemented
+        return (self.a, self.b, self.c, self.n) == (other.a, other.b, other.c, other.n)
+
+    def __hash__(self) -> int:
+        return hash((self.a, self.b, self.c, self.n))
+
+    def __repr__(self) -> str:
+        return f"QuadCongruence(a={self.a!r}, b={self.b!r}, c={self.c!r}, n={self.n!r})"
+
+    def __reduce__(self):
+        return QuadCongruence, (self.a, self.b, self.c, self.n)
 
     @property
     def discriminant(self) -> int:

@@ -10,8 +10,8 @@ from __future__ import annotations
 import itertools
 import math
 from bisect import bisect_left
+from collections import namedtuple
 from collections.abc import Iterable
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import BudgetExceeded, EvenModulus, NonCoprimeModuli, ZeroOrUnit, check_positive
@@ -128,12 +128,10 @@ def _strong_lucas_probable_prime(n: int) -> bool:
     return False
 
 
-@dataclass(frozen=True)
-class Factorization:
+class Factorization(namedtuple("Factorization", "sign factors")):
     """A signed prime factorization: sign * prod(p**e), primes strictly increasing."""
 
-    sign: int
-    factors: tuple[tuple[int, int], ...]
+    __slots__ = ()
 
     def value(self) -> int:
         out = self.sign
@@ -301,12 +299,36 @@ def _brent_rho(n: int) -> int:
             return g
 
 
-@dataclass(frozen=True)
+def _frozen(self, name: str, value: object = None) -> None:
+    # __setattr__ and __delattr__ of the value classes, which set their fields
+    # once, in __init__, through object.__setattr__; their __reduce__ lets
+    # pickle and copy rebuild them through __init__, not by setting slots
+    raise AttributeError(f"{type(self).__name__} is immutable: cannot set or delete {name!r}")
+
+
 class ResidueSet:
     """The complete, sorted set of incongruent solutions modulo `modulus`."""
 
-    modulus: int
-    residues: tuple[int, ...]
+    __slots__ = ("modulus", "residues")
+    __setattr__ = __delattr__ = _frozen
+
+    def __init__(self, modulus: int, residues: tuple[int, ...]) -> None:
+        object.__setattr__(self, "modulus", modulus)
+        object.__setattr__(self, "residues", residues)
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not ResidueSet:
+            return NotImplemented
+        return self.modulus == other.modulus and self.residues == other.residues
+
+    def __hash__(self) -> int:
+        return hash((self.modulus, self.residues))
+
+    def __repr__(self) -> str:
+        return f"ResidueSet(modulus={self.modulus!r}, residues={self.residues!r})"
+
+    def __reduce__(self):
+        return ResidueSet, (self.modulus, self.residues)
 
     def __iter__(self):
         return iter(self.residues)

@@ -6,22 +6,17 @@ the real and imaginary parts of odd powers of a + ib.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import BadParameters, check_nonnegative, check_positive
 from .gaussian import GaussianInt
 from .two_squares import is_sum_of_two_squares
 
 
-@dataclass(frozen=True)
-class PythTriple:
+class PythTriple(namedtuple("PythTriple", "s t r m n")):
     """Primitive triple s^2 + t^2 = r^2 with s = 2mn, t = m^2 - n^2, r = m^2 + n^2."""
 
-    s: int
-    t: int
-    r: int
-    m: int
-    n: int
+    __slots__ = ()
 
 
 def pyth_triple(m: int, n: int) -> PythTriple:
@@ -57,19 +52,11 @@ def cz2_solvable(c: int) -> bool:
     return is_sum_of_two_squares(c)
 
 
-@dataclass(frozen=True)
-class CZ2Solution:
+class CZ2Solution(namedtuple("CZ2Solution", "x y z c d3 g u v")):
     """A solution of X^2 + Y^2 = c*Z^2 built from c = d3^2 * 2^g * (u^2 + v^2)
     and a primitive Pythagorean triple."""
 
-    x: int
-    y: int
-    z: int
-    c: int
-    d3: int
-    g: int
-    u: int
-    v: int
+    __slots__ = ()
 
 
 def cz2_solution(
@@ -100,16 +87,10 @@ def cz2_solution(
     return CZ2Solution(x, y, triple.r, c, d3, g, u, v)
 
 
-@dataclass(frozen=True)
-class ZlSolution:
+class ZlSolution(namedtuple("ZlSolution", "x y z l a b")):
     """A primitive solution of X^2 + Y^2 = Z^l with x + iy = (a + ib)^l."""
 
-    x: int
-    y: int
-    z: int
-    l: int
-    a: int
-    b: int
+    __slots__ = ()
 
 
 def zl_solution(l: int, a: int, b: int) -> ZlSolution:
@@ -141,8 +122,7 @@ def vn_poly(n: int, x: int, y: int) -> int:
     )
 
 
-@dataclass(frozen=True)
-class PythQuadruple:
+class PythQuadruple(namedtuple("PythQuadruple", "x y z w m n u v primitive")):
     """A solution of X^2 + Y^2 + Z^2 = W^2 with its generating parameters.
 
     The parameters produce (x, y, z) up to permutation and sign; the
@@ -150,15 +130,7 @@ class PythQuadruple:
     conditions alone do not guarantee.
     """
 
-    x: int
-    y: int
-    z: int
-    w: int
-    m: int
-    n: int
-    u: int
-    v: int
-    primitive: bool
+    __slots__ = ()
 
 
 def pyth_quadruple(m: int, n: int, u: int, v: int) -> PythQuadruple:

@@ -8,19 +8,36 @@ factorization into a unit times canonical prime powers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
-from .core import is_prime
+from .core import _frozen, is_prime
 from .errors import BothZero, DivisionByZero, ZeroArgument, ZeroOrUnit, check_nonnegative
 from .two_squares import _split_factorization, represent_prime
 
 
-@dataclass(frozen=True)
 class GaussianInt:
-    """An element re + im*i of Z(i)."""
+    """An element re + im*i of Z(i); not a pair, so 3 * xi is a TypeError."""
 
-    re: int = 0
-    im: int = 0
+    __slots__ = ("re", "im")
+    __setattr__ = __delattr__ = _frozen
+
+    def __init__(self, re: int = 0, im: int = 0) -> None:
+        object.__setattr__(self, "re", re)
+        object.__setattr__(self, "im", im)
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not GaussianInt:
+            return NotImplemented
+        return self.re == other.re and self.im == other.im
+
+    def __hash__(self) -> int:
+        return hash((self.re, self.im))
+
+    def __repr__(self) -> str:
+        return f"GaussianInt(re={self.re!r}, im={self.im!r})"
+
+    def __reduce__(self):
+        return GaussianInt, (self.re, self.im)
 
     def __add__(self, other: "GaussianInt") -> "GaussianInt":
         return GaussianInt(self.re + other.re, self.im + other.im)
@@ -170,12 +187,10 @@ def is_gaussian_prime(xi: GaussianInt) -> bool:
     return False
 
 
-@dataclass(frozen=True)
-class GaussianFactorization:
+class GaussianFactorization(namedtuple("GaussianFactorization", "unit factors")):
     """unit * prod(prime**exponent) with canonical primes sorted by (norm, re, im)."""
 
-    unit: GaussianInt
-    factors: tuple[tuple[GaussianInt, int], ...]
+    __slots__ = ()
 
     def value(self) -> GaussianInt:
         out = self.unit

@@ -13,7 +13,7 @@ split from `_split_factorization`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
 from .core import factorize, is_prime
@@ -21,13 +21,10 @@ from .errors import BadParameters, NotARoot, NotPrime, WrongResidueClass, check_
 from .sqrtmod import sqrt_mod_prime
 
 
-@dataclass(frozen=True)
-class TwoSquareRep:
+class TwoSquareRep(namedtuple("TwoSquareRep", "a b primitive")):
     """An ordered signed pair with a^2 + b^2 = n; primitive means gcd(a, b) = 1."""
 
-    a: int
-    b: int
-    primitive: bool
+    __slots__ = ()
 
 
 def is_sum_of_two_squares(n: int) -> bool:

@@ -1,9 +1,13 @@
 """Package layout: the reference routes in `oracle` stay out of the fast paths,
 every exported name resolves, every error type is raised somewhere, refusals
-are typed, and the cached functions keep their caches."""
+are typed, the cached functions keep their caches, and a cold import loads
+neither `dataclasses` nor `typing`."""
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 import quadres
 from quadres import core, errors, symbols
@@ -59,6 +63,30 @@ def test_no_module_imports_inside_a_function():
         for name in _imported_modules(node)
     )
     assert nested == []
+
+
+def test_no_dataclasses_or_typing_import():
+    # each costs milliseconds of every cold start, and the value types need neither
+    heavy = sorted(
+        (path.name, name)
+        for path in SRC.glob("*.py")
+        for name in _imported_modules(ast.parse(path.read_text()))
+        if name.split(".")[0] in ("dataclasses", "typing")
+    )
+    assert heavy == []
+
+
+def test_cold_import_leaves_heavy_stdlib_modules_unloaded():
+    # -S keeps site-packages' start-up imports out of the measurement
+    probe = (
+        "import sys; import quadres, quadres.cli; "
+        "print(sorted({'dataclasses', 'inspect', 'typing', 'ast'} & set(sys.modules)))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"
 
 
 def test_jacobi_is_one_function_re_exported():
