@@ -24,10 +24,10 @@ class QuadCongruence:
         check_positive("modulus", n)
         if a % n == 0:
             raise NotQuadratic(f"a = {a} vanishes mod {n}; use solve_linear instead")
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "c", c)
-        object.__setattr__(self, "n", n)
+        _set_a(self, a)
+        _set_b(self, b)
+        _set_c(self, c)
+        _set_n(self, n)
 
     def __eq__(self, other: object) -> bool:
         if type(other) is not QuadCongruence:
@@ -46,6 +46,11 @@ class QuadCongruence:
     @property
     def discriminant(self) -> int:
         return self.b * self.b - 4 * self.a * self.c
+
+
+_set_a, _set_b, _set_c, _set_n = (
+    getattr(QuadCongruence, field).__set__ for field in QuadCongruence.__slots__
+)
 
 
 def solve_linear(a: int, b: int, n: int) -> ResidueSet:

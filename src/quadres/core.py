@@ -301,8 +301,9 @@ def _brent_rho(n: int) -> int:
 
 def _frozen(self, name: str, value: object = None) -> None:
     # __setattr__ and __delattr__ of the value classes, which set their fields
-    # once, in __init__, through object.__setattr__; their __reduce__ lets
-    # pickle and copy rebuild them through __init__, not by setting slots
+    # once, in __init__, through each slot's member descriptor (bound after
+    # the class, as _set_<field>); their __reduce__ lets pickle and copy
+    # rebuild them through __init__, not by setting slots
     raise AttributeError(f"{type(self).__name__} is immutable: cannot set or delete {name!r}")
 
 
@@ -313,8 +314,8 @@ class ResidueSet:
     __setattr__ = __delattr__ = _frozen
 
     def __init__(self, modulus: int, residues: tuple[int, ...]) -> None:
-        object.__setattr__(self, "modulus", modulus)
-        object.__setattr__(self, "residues", residues)
+        _set_modulus(self, modulus)
+        _set_residues(self, residues)
 
     def __eq__(self, other: object) -> bool:
         if type(other) is not ResidueSet:
@@ -338,6 +339,9 @@ class ResidueSet:
 
     def __contains__(self, x: int) -> bool:
         return x % self.modulus in self.residues
+
+
+_set_modulus, _set_residues = ResidueSet.modulus.__set__, ResidueSet.residues.__set__
 
 
 def crt_combine(components: Iterable[ResidueSet]) -> ResidueSet:

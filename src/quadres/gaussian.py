@@ -22,8 +22,8 @@ class GaussianInt:
     __setattr__ = __delattr__ = _frozen
 
     def __init__(self, re: int = 0, im: int = 0) -> None:
-        object.__setattr__(self, "re", re)
-        object.__setattr__(self, "im", im)
+        _set_re(self, re)
+        _set_im(self, im)
 
     def __eq__(self, other: object) -> bool:
         if type(other) is not GaussianInt:
@@ -72,7 +72,8 @@ class GaussianInt:
         return format_gaussian(self)
 
 
-ZERO = GaussianInt(0, 0)
+_set_re, _set_im = GaussianInt.re.__set__, GaussianInt.im.__set__
+
 ONE = GaussianInt(1, 0)
 I = GaussianInt(0, 1)
 UNITS = (ONE, I, GaussianInt(-1, 0), GaussianInt(0, -1))
@@ -90,7 +91,7 @@ def is_unit(xi: GaussianInt) -> bool:
 
 def associates(xi: GaussianInt) -> set[GaussianInt]:
     """The four unit multiples {xi, i*xi, -xi, -i*xi} of a nonzero element."""
-    if xi == ZERO:
+    if not (xi.re or xi.im):
         raise ZeroArgument("zero has no associates")
     return {xi * u for u in UNITS}
 
@@ -99,6 +100,8 @@ def associates(xi: GaussianInt) -> set[GaussianInt]:
 # (re, im) int pairs and build a GaussianInt only for the caller. gcd starts
 # from the gcd of the two norms, one math.gcd in C, which skips Euclid when
 # the norms are coprime and otherwise keeps its operands near that gcd's size.
+# In factor, c + d*i divides x + y*i exactly when N = c^2 + d^2 divides both
+# x*c + y*d and y*c - x*d, and those two quotients are the quotient's parts.
 
 
 def _canonical_ints(x: int, y: int) -> tuple[int, int]:
@@ -111,14 +114,12 @@ def _canonical_ints(x: int, y: int) -> tuple[int, int]:
 def _div_rem_ints(a: int, b: int, c: int, d: int) -> tuple[int, int, int, int]:
     # (q1, q2, r1, r2) with a + b*i = (q1 + q2*i)(c + d*i) + r1 + r2*i, where
     # q1 + q2*i is (a + b*i)/(c + d*i) rounded to the nearest, ties toward
-    # the floor; c + d*i != 0
+    # the floor; c + d*i != 0. With n = c^2 + d^2, that rounding of x/n is
+    # floor((2x + n - 1) / 2n), one floor division per coordinate
     n = c * c + d * d
-    q1, s = divmod(a * c + b * d, n)
-    q2, t = divmod(b * c - a * d, n)
-    if 2 * s > n:
-        q1 += 1
-    if 2 * t > n:
-        q2 += 1
+    h, m = n - 1, 2 * n
+    q1 = (2 * (a * c + b * d) + h) // m
+    q2 = (2 * (b * c - a * d) + h) // m
     return q1, q2, a - q1 * c + q2 * d, b - q1 * d - q2 * c
 
 
@@ -128,7 +129,7 @@ def canonical_associate(xi: GaussianInt) -> GaussianInt:
     Inert rational primes map to themselves; the ramified prime above 2
     maps to 1 + i. This pins factorizations down to literal equality.
     """
-    if xi == ZERO:
+    if not (xi.re or xi.im):
         raise ZeroArgument("zero has no associates")
     return GaussianInt(*_canonical_ints(xi.re, xi.im))
 
@@ -139,7 +140,7 @@ def div_rem(alpha: GaussianInt, beta: GaussianInt) -> tuple[GaussianInt, Gaussia
     kappa is alpha/beta with both coordinates rounded to the nearest
     integer, ties toward the floor, which makes the pair deterministic.
     """
-    if beta == ZERO:
+    if not (beta.re or beta.im):
         raise DivisionByZero("division by zero in Z(i)")
     q1, q2, r1, r2 = _div_rem_ints(alpha.re, alpha.im, beta.re, beta.im)
     return GaussianInt(q1, q2), GaussianInt(r1, r2)
@@ -206,9 +207,9 @@ def factor(xi: GaussianInt) -> GaussianFactorization:
     of N(xi): 1 + i above 2, each inert q, and a + b*i and b + a*i above each
     split p = a^2 + b^2. Exponents come from exact division of xi.
     """
-    if xi == ZERO or is_unit(xi):
-        raise ZeroOrUnit(f"{xi} has no prime factorization")
     x, y = xi.re, xi.im
+    if x * x + y * y <= 1:  # zero or a unit
+        raise ZeroOrUnit(f"{xi} has no prime factorization")
     g, inert, split = _split_factorization(norm(xi))
     candidates = [(1, 1)] if g else []
     candidates += [(q, 0) for q, _ in inert]
@@ -218,10 +219,11 @@ def factor(xi: GaussianInt) -> GaussianFactorization:
         candidates += [(rep.a, rep.b), (rep.b, rep.a)]
     found = []
     for c, d in candidates:
-        e = 0
+        n, e = c * c + d * d, 0
         while True:
-            q1, q2, r1, r2 = _div_rem_ints(x, y, c, d)
-            if r1 or r2:
+            q1, s = divmod(x * c + y * d, n)
+            q2, t = divmod(y * c - x * d, n)
+            if s or t:
                 break
             x, y, e = q1, q2, e + 1
         if e:

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 
@@ -134,6 +135,45 @@ def test_div_rem_contract_at_30_digits(a, b, c, d):
     kappa, rho = div_rem(alpha, beta)
     assert kappa * beta + rho == alpha
     assert 2 * norm(rho) <= norm(beta)
+
+
+def _div_rem_ints_by_divmod(a, b, c, d):
+    # the earlier rounding, kept as the reference: floor, then step up where
+    # the remainder exceeds half the norm
+    n = c * c + d * d
+    q1, s = divmod(a * c + b * d, n)
+    q2, t = divmod(b * c - a * d, n)
+    if 2 * s > n:
+        q1 += 1
+    if 2 * t > n:
+        q2 += 1
+    return q1, q2, a - q1 * c + q2 * d, b - q1 * d - q2 * c
+
+
+def _assert_div_rem_matches_reference(alpha, beta):
+    q1, q2, r1, r2 = _div_rem_ints_by_divmod(alpha.re, alpha.im, beta.re, beta.im)
+    assert div_rem(alpha, beta) == (Z(q1, q2), Z(r1, r2))
+
+
+@given(_by_digits(1, 30), _by_digits(1, 30), _by_digits(1, 30), _by_digits(1, 30))
+def test_div_rem_matches_the_divmod_rounding(a, b, c, d):
+    _assert_div_rem_matches_reference(Z(a, b), Z(c, d))
+    _assert_div_rem_matches_reference(Z(a, b), Z(c, 0))
+    _assert_div_rem_matches_reference(Z(a, b), Z(0, d))
+
+
+@given(_by_digits(1, 30), _by_digits(1, 30), _by_digits(1, 30), _by_digits(1, 30),
+       st.sampled_from((Z(1, 0), Z(0, 1), Z(1, 1))))
+def test_div_rem_matches_the_divmod_rounding_at_planted_ties(k1, k2, g1, g2, shift):
+    # with beta = 2*gamma, alpha/beta = kappa + shift/2 lies halfway between
+    # integers in the real, the imaginary or both coordinates
+    kappa, gamma = Z(k1, k2), Z(g1, g2)
+    beta = Z(2, 0) * gamma
+    for sign in (Z(1, 0), Z(-1, 0)):
+        alpha = kappa * beta + sign * shift * gamma
+        _assert_div_rem_matches_reference(alpha, beta)
+        rho = div_rem(alpha, beta)[1]
+        assert 2 * norm(rho) <= norm(beta)
 
 
 def test_div_rem_ties_round_toward_the_floor():
@@ -349,6 +389,27 @@ def test_factor_reassembles_disk():
             assert prime == canonical_associate(prime)
         keys = [(norm(p), p.re, p.im) for p, _ in f.factors]
         assert keys == sorted(keys)
+
+
+# SHA-256 of one line per xi, "re,im unit.re,unit.im p.re,p.im^e ...", joined
+# by newlines, for re and im in -60..60 in that order, 0 and the units left
+# out; recorded when factor still found each exponent by dividing with
+# remainder and testing the remainder for zero
+FACTOR_DIGEST_60 = "ee0b5eee6311bea76341bc5df7b8f735369d77bec6df4e5025301afdaf47c72f"
+
+
+def test_factor_is_unchanged_over_the_square_of_side_60():
+    lines = []
+    for x in range(-60, 61):
+        for y in range(-60, 61):
+            if x * x + y * y <= 1:
+                continue
+            f = factor(Z(x, y))
+            parts = [f"{x},{y}", f"{f.unit.re},{f.unit.im}"]
+            parts += [f"{p.re},{p.im}^{e}" for p, e in f.factors]
+            lines.append(" ".join(parts))
+    assert len(lines) == 121 * 121 - 5
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == FACTOR_DIGEST_60
 
 
 def test_factor_canonical_across_associates():

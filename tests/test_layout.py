@@ -1,7 +1,8 @@
 """Package layout: the reference routes in `oracle` stay out of the fast paths,
 every exported name resolves, every error type is raised somewhere, refusals
-are typed, the cached functions keep their caches, and a cold import loads
-neither `dataclasses` nor `typing`."""
+are typed, the cached functions keep their caches, the value classes have one
+construction route, and a cold import loads neither `dataclasses` nor
+`typing`."""
 
 import ast
 import os
@@ -74,6 +75,21 @@ def test_no_dataclasses_or_typing_import():
         if name.split(".")[0] in ("dataclasses", "typing")
     )
     assert heavy == []
+
+
+def test_no_object_setattr():
+    # the value classes store each field through its slot's member descriptor;
+    # object.__setattr__ would be a second, slower construction route
+    uses = sorted(
+        (path.name, node.lineno)
+        for path in SRC.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute)
+        and node.attr == "__setattr__"
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "object"
+    )
+    assert uses == []
 
 
 def test_cold_import_leaves_heavy_stdlib_modules_unloaded():
