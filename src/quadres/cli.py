@@ -39,114 +39,6 @@ class _UsageError(Exception):
     pass
 
 
-@functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built on the first call and shared after it.
-
-    Parsing keeps no state in the parser, so `main` can run any number of
-    requests in one process; callers must not add arguments to it. A request
-    that names a subcommand is parsed by that subcommand's parser alone, found
-    in `subcommands`; the top-level parser answers every other argv.
-    """
-    parser = argparse.ArgumentParser(
-        prog="quadres",
-        description="Exact solvers for quadratic congruences, quadratic-residue "
-        "symbols, Gaussian integers, sums of two squares and Pythagorean "
-        "triples/quadruples.",
-    )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--json", action="store_true", help="emit a JSON envelope")
-    sub = parser.add_subparsers(dest="command", required=True)
-    parser.subcommands = sub.choices
-
-    p = sub.add_parser("jacobi", parents=[common], help="Jacobi symbol (a/n)")
-    p.add_argument("a", type=int)
-    p.add_argument("n", type=int)
-
-    p = sub.add_parser("legendre", parents=[common], help="Legendre symbol (a/p)")
-    p.add_argument("a", type=int)
-    p.add_argument("p", type=int)
-    p.add_argument("--method", choices=("euler", "gauss-lemma"), default="euler")
-
-    p = sub.add_parser("sqrtmod", parents=[common], help="solve X^2 = a (mod n)")
-    p.add_argument("a", type=int)
-    p.add_argument("n", type=int)
-
-    p = sub.add_parser(
-        "solve-quadratic", parents=[common], help="solve a*X^2 + b*X + c = 0 (mod n)"
-    )
-    p.add_argument("a", type=int)
-    p.add_argument("b", type=int)
-    p.add_argument("c", type=int)
-    p.add_argument("--mod", type=int, required=True, metavar="N")
-
-    p = sub.add_parser(
-        "solve-linear", parents=[common], help="solve a*X = b (mod n)"
-    )
-    p.add_argument("a", type=int)
-    p.add_argument("b", type=int)
-    p.add_argument("--mod", type=int, required=True, metavar="N")
-
-    p = sub.add_parser(
-        "two-squares", parents=[common], help="representations n = A^2 + B^2"
-    )
-    p.add_argument(
-        "action", choices=("count", "list", "primitive", "represent-prime")
-    )
-    p.add_argument("n", type=int)
-
-    p = sub.add_parser("gaussian", parents=[common], help="arithmetic in Z(i)")
-    p.add_argument("action", choices=("norm", "divrem", "gcd", "factor", "is-prime"))
-    p.add_argument("args", nargs="+", metavar="a+bi")
-
-    p = sub.add_parser(
-        "pyth-triple", parents=[common], help="primitive triple from (m, n)"
-    )
-    p.add_argument("m", type=int)
-    p.add_argument("n", type=int)
-
-    p = sub.add_parser(
-        "triples", parents=[common], help="primitive triples with hypotenuse <= R"
-    )
-    p.add_argument("--max", type=int, required=True, metavar="R")
-
-    p = sub.add_parser(
-        "cz2", parents=[common], help="solution of X^2 + Y^2 = c*Z^2"
-    )
-    p.add_argument("--c", type=int, required=True)
-    p.add_argument("--d3", type=int, default=1)
-    p.add_argument("--uv", type=int, nargs=2, required=True, metavar=("U", "V"))
-    p.add_argument("--g", type=int, default=0)
-    p.add_argument("--triple", type=int, nargs=2, required=True, metavar=("M", "N"))
-
-    p = sub.add_parser("zl", parents=[common], help="solution of X^2 + Y^2 = Z^l")
-    p.add_argument("l", type=int)
-    p.add_argument("a", type=int)
-    p.add_argument("b", type=int)
-
-    p = sub.add_parser(
-        "quadruple", parents=[common], help="quadruple from (m, n, u, v)"
-    )
-    p.add_argument("m", type=int)
-    p.add_argument("n", type=int)
-    p.add_argument("u", type=int)
-    p.add_argument("v", type=int)
-
-    p = sub.add_parser(
-        "quadruples", parents=[common], help="primitive quadruples with w <= W"
-    )
-    p.add_argument("--max", type=int, required=True, metavar="W")
-
-    p = sub.add_parser(
-        "verify",
-        parents=[common],
-        help="re-run a request through the brute-force oracle and compare",
-    )
-    p.add_argument("request", nargs=argparse.REMAINDER, metavar="SUBCOMMAND ...")
-
-    return parser
-
-
 def _residue_payload(rs) -> dict:
     return {"modulus": rs.modulus, "residues": list(rs.residues)}
 
@@ -276,40 +168,33 @@ def _scan_two_squares(args):
     return next(([rep.a, rep.b] for rep in scan if rep.primitive and rep.a >= rep.b > 0), None)
 
 
-# the brute-force side of each request `verify` can check
-_ORACLES = {
-    "legendre": lambda args: brute_legendre(args.a, args.p),
-    "jacobi": lambda args: jacobi_by_definition(args.a, args.n),
-    "sqrtmod": lambda args: _residue_payload(brute_sqrt_mod(args.a, args.n)),
-    "solve-quadratic": lambda args: _residue_payload(
-        brute_quadratic(args.a, args.b, args.c, args.mod)
-    ),
-    "two-squares": _scan_two_squares,
-}
-
-
-def _cmd_verify(args, parser):
+def _cmd_verify(args):
     request = list(args.request)
     if request and request[0] == "--":
         request = request[1:]
     if not request or request[0] == "verify":
         raise _UsageError("verify needs a supported subcommand to check")
     try:
-        inner = _parse(parser, request)
+        inner = _parse(request)
     except SystemExit:
         raise _UsageError(f"could not parse verify request {request!r}") from None
-    if getattr(inner, "json", False):
+    if inner.json:
         args.json = True
     command = inner.command
-    if command not in _ORACLES:
+    _, _, handler, oracle_of = _SUBCOMMANDS[command]
+    if oracle_of is None:
         raise _UsageError(f"verify does not support {' '.join(request)!r}")
 
-    # the two-squares scan runs first: its budget refuses a large n before the
-    # named route builds a list of up to r(n) pairs
-    oracle = _ORACLES[command](inner) if command == "two-squares" else None
-    value = _HANDLERS[command](inner)[0]
+    # Which side runs first shows in the output when both refuse, so the order
+    # is part of the interface. The two-squares scan runs first: its budget
+    # refuses a large n before the named route builds a list of up to r(n)
+    # pairs. Every other request runs its own route first, whose refusal is
+    # the one reported: `sqrtmod 3 3000027` is NotCoprime, not the scan's
+    # BudgetExceeded.
+    oracle = oracle_of(inner) if command == "two-squares" else None
+    value = handler(inner)[0]
     if command != "two-squares":
-        oracle = _ORACLES[command](inner)
+        oracle = oracle_of(inner)
     elif inner.action != "count":
         value = [[rep["a"], rep["b"]] for rep in value]
         if inner.action == "represent-prime":
@@ -321,21 +206,108 @@ def _cmd_verify(args, parser):
     return payload, lines
 
 
-_HANDLERS = {
-    "jacobi": _cmd_jacobi,
-    "legendre": _cmd_legendre,
-    "sqrtmod": _cmd_sqrtmod,
-    "solve-quadratic": _cmd_solve_quadratic,
-    "solve-linear": _cmd_solve_linear,
-    "two-squares": _cmd_two_squares,
-    "gaussian": _cmd_gaussian,
-    "pyth-triple": _cmd_pyth_triple,
-    "triples": _cmd_triples,
-    "cz2": _cmd_cz2,
-    "zl": _cmd_zl,
-    "quadruple": _cmd_quadruple,
-    "quadruples": _cmd_quadruples,
+def _arg(name, **options):
+    return name, options
+
+
+def _ints(*names):
+    return [_arg(name, type=int) for name in names]
+
+
+_MOD = _arg("--mod", type=int, required=True, metavar="N")
+
+# One row per subcommand: its help line, its arguments in order, the handler
+# that returns (JSON payload, plain lines) and the brute-force side that
+# `verify` compares with the handler's value (None: `verify` refuses it).
+# Each oracle looks its reference route up at call time, as the handlers do,
+# so a route rebound on this module is the one that runs.
+_SUBCOMMANDS = {
+    "jacobi": (
+        "Jacobi symbol (a/n)", _ints("a", "n"), _cmd_jacobi,
+        lambda args: jacobi_by_definition(args.a, args.n),
+    ),
+    "legendre": (
+        "Legendre symbol (a/p)",
+        _ints("a", "p") + [_arg("--method", choices=("euler", "gauss-lemma"), default="euler")],
+        _cmd_legendre,
+        lambda args: brute_legendre(args.a, args.p),
+    ),
+    "sqrtmod": (
+        "solve X^2 = a (mod n)", _ints("a", "n"), _cmd_sqrtmod,
+        lambda args: _residue_payload(brute_sqrt_mod(args.a, args.n)),
+    ),
+    "solve-quadratic": (
+        "solve a*X^2 + b*X + c = 0 (mod n)", _ints("a", "b", "c") + [_MOD],
+        _cmd_solve_quadratic,
+        lambda args: _residue_payload(brute_quadratic(args.a, args.b, args.c, args.mod)),
+    ),
+    "solve-linear": (
+        "solve a*X = b (mod n)", _ints("a", "b") + [_MOD], _cmd_solve_linear, None,
+    ),
+    "two-squares": (
+        "representations n = A^2 + B^2",
+        [_arg("action", choices=("count", "list", "primitive", "represent-prime")),
+         _arg("n", type=int)],
+        _cmd_two_squares, _scan_two_squares,
+    ),
+    "gaussian": (
+        "arithmetic in Z(i)",
+        [_arg("action", choices=("norm", "divrem", "gcd", "factor", "is-prime")),
+         _arg("args", nargs="+", metavar="a+bi")],
+        _cmd_gaussian, None,
+    ),
+    "pyth-triple": ("primitive triple from (m, n)", _ints("m", "n"), _cmd_pyth_triple, None),
+    "triples": (
+        "primitive triples with hypotenuse <= R",
+        [_arg("--max", type=int, required=True, metavar="R")], _cmd_triples, None,
+    ),
+    "cz2": (
+        "solution of X^2 + Y^2 = c*Z^2",
+        [_arg("--c", type=int, required=True), _arg("--d3", type=int, default=1),
+         _arg("--uv", type=int, nargs=2, required=True, metavar=("U", "V")),
+         _arg("--g", type=int, default=0),
+         _arg("--triple", type=int, nargs=2, required=True, metavar=("M", "N"))],
+        _cmd_cz2, None,
+    ),
+    "zl": ("solution of X^2 + Y^2 = Z^l", _ints("l", "a", "b"), _cmd_zl, None),
+    "quadruple": (
+        "quadruple from (m, n, u, v)", _ints("m", "n", "u", "v"), _cmd_quadruple, None,
+    ),
+    "quadruples": (
+        "primitive quadruples with w <= W",
+        [_arg("--max", type=int, required=True, metavar="W")], _cmd_quadruples, None,
+    ),
+    "verify": (
+        "re-run a request through the brute-force oracle and compare",
+        [_arg("request", nargs=argparse.REMAINDER, metavar="SUBCOMMAND ...")],
+        _cmd_verify, None,
+    ),
 }
+
+
+@functools.cache
+def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and shared after it.
+
+    Parsing keeps no state in the parser, so `main` can run any number of
+    requests in one process; callers must not add arguments to it. A request
+    that names a subcommand is parsed by that subcommand's parser alone, found
+    in `subcommands`; the top-level parser answers every other argv.
+    """
+    parser = argparse.ArgumentParser(
+        prog="quadres",
+        description="Exact solvers for quadratic congruences, quadratic-residue "
+        "symbols, Gaussian integers, sums of two squares and Pythagorean "
+        "triples/quadruples.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    parser.subcommands = sub.choices
+    for command, (help_line, arguments, _, _) in _SUBCOMMANDS.items():
+        p = sub.add_parser(command, help=help_line)
+        p.add_argument("--json", action="store_true", help="emit a JSON envelope")
+        for name, options in arguments:
+            p.add_argument(name, **options)
+    return parser
 
 
 # one encoder for every envelope: json.dumps(..., sort_keys=True) builds one per call
@@ -347,9 +319,11 @@ def _inputs(args) -> dict:
     return {k: v for k, v in sorted(vars(args).items()) if k not in skip}
 
 
-def _parse(parser, argv):
-    """`parser.parse_args(argv)`, but an argv naming a subcommand goes straight to
-    that subcommand's parser; extra arguments get the top-level refusal."""
+def _parse(argv):
+    """`build_parser().parse_args(argv)`, but an argv naming a subcommand goes
+    straight to that subcommand's parser; extra arguments get the top-level
+    refusal."""
+    parser = build_parser()
     command = parser.subcommands.get(argv[0]) if argv else None
     if command is None:
         return parser.parse_args(argv)
@@ -360,20 +334,17 @@ def _parse(parser, argv):
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = _parse(parser, sys.argv[1:] if argv is None else list(argv))
+        args = _parse(sys.argv[1:] if argv is None else list(argv))
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
 
     payload, lines, status, error, code = None, [], "ok", None, 0
     try:
-        if args.command == "verify":
-            payload, lines = _cmd_verify(args, parser)
-            if not payload["agree"]:
-                status, error, code = "error", "oracle disagreement", 1
-        else:
-            payload, lines = _HANDLERS[args.command](args)
+        _, _, handler, _ = _SUBCOMMANDS[args.command]
+        payload, lines = handler(args)
+        if args.command == "verify" and not payload["agree"]:
+            status, error, code = "error", "oracle disagreement", 1
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

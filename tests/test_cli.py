@@ -190,6 +190,36 @@ def test_verify_unsupported(capsys):
     assert code == 2 and "usage error" in err
 
 
+# a request that each subcommand answers with exit 0
+SAMPLE_REQUEST = {
+    "jacobi": ("365", "1847"),
+    "legendre": ("2", "7"),
+    "sqrtmod": ("61", "180"),
+    "solve-quadratic": ("3", "7", "-1", "--mod", "15"),
+    "solve-linear": ("6", "114", "--mod", "180"),
+    "two-squares": ("count", "25"),
+    "gaussian": ("norm", "2+3i"),
+    "pyth-triple": ("2", "1"),
+    "triples": ("--max", "13"),
+    "cz2": ("--c", "5", "--uv", "2", "1", "--triple", "2", "1"),
+    "zl": ("5", "2", "1"),
+    "quadruple": ("1", "1", "1", "0"),
+    "quadruples": ("--max", "3"),
+}
+
+
+@pytest.mark.parametrize("name", [name for name in cli._SUBCOMMANDS if name != "verify"])
+def test_verify_checks_exactly_the_rows_with_an_oracle(capsys, name):
+    checked = {name for name, (_, _, _, oracle) in cli._SUBCOMMANDS.items() if oracle}
+    assert checked == {"legendre", "jacobi", "sqrtmod", "solve-quadratic", "two-squares"}
+    assert run(capsys, name, *SAMPLE_REQUEST[name])[0] == 0
+    code, out, err = run(capsys, "verify", "--", name, *SAMPLE_REQUEST[name])
+    if name in checked:
+        assert code == 0 and out.endswith("agree: true\n") and err == ""
+    else:
+        assert code == 2 and out == "" and "verify does not support" in err
+
+
 def test_domain_error_exit_code(capsys):
     code, out, err = run(capsys, "jacobi", "2", "8")
     assert code == 1 and out == "" and "error:" in err
@@ -530,6 +560,63 @@ GOLDEN_REFUSAL_SHA256 = {
         "a7c9f54c37de7e4c6e200cb4d3aef8907e062f423ca6571d228688faa5055295",
     ("verify", "--", "verify", "jacobi", "1", "3"):
         "a7c9f54c37de7e4c6e200cb4d3aef8907e062f423ca6571d228688faa5055295",
+    # every subcommand's help and its usage error when given no arguments;
+    # `jacobi -h` and a bare `verify` are pinned above
+    ("legendre", "-h"):
+        "83e9736f9c89e4aa419697737f5a6992ab11f38bc119d515b501b7fba6596261",
+    ("sqrtmod", "-h"):
+        "a285732329f3217e55d64bc3eeeb814ba556c178432222156259f864b10c1a91",
+    ("solve-quadratic", "-h"):
+        "82d3f8b7182744a1d22d77a148a0ef7c18a66a33db39a9d90675b37ea7650e0b",
+    ("solve-linear", "-h"):
+        "36bcf180d1a631aac57ab9a918cc1411ba979b130ec1ce68a527021a54324e4f",
+    ("two-squares", "-h"):
+        "9780a2d6fcf17b57f5caca98752774a8cca9c2706a9e6049037472f1cc431398",
+    ("gaussian", "-h"):
+        "bcce6b0eeeb64d89ae728067e2c118bc00a6f99c50e9be83ac41b257582f27b7",
+    ("pyth-triple", "-h"):
+        "200f51fded8940a20402242fc9c7263097cbb615d95a1b5a8c44feb9df0e4417",
+    ("triples", "-h"):
+        "b9c2e46778e71fd4aaa099cf9cd1f0b9894ead1e14f6b8f65de8e2c9eeeca154",
+    ("cz2", "-h"):
+        "93f1c0e9f2950dfd0d02190e3e271d0acd44c58bd16b970ab6ea6c16b00157f6",
+    ("zl", "-h"):
+        "72fe3b95916e110e7e6a3f1b5a75555f78f7e2a76b86e33393bf5d38f1a4d775",
+    ("quadruple", "-h"):
+        "e66b46db905b66cd39eafe946520932e92d5e67fc70bd2ae8c1919e19169b457",
+    ("quadruples", "-h"):
+        "9641bf23e8a3e290fec338778d802211da5b024e55c08d310291d2b0a9b5b48b",
+    ("verify", "-h"):
+        "6ab6badd7f9826e32309c5096017daaefd7866c4c61df65d5ca0978388e0ccd9",
+    ("jacobi",):
+        "48db691c88e3b07c0ba39f10809ad9ff253dccddcb2af529f4a9da7080db47c1",
+    ("legendre",):
+        "5dd261109c0c200858b916d700aac94b8cb0cc57dd1c2f81d91fdde6dfac0305",
+    ("sqrtmod",):
+        "f2eec036fe70ecc0cbca4ed9e997fea50aadecd1a885073ca5dcfd1e106c617b",
+    ("solve-quadratic",):
+        "f22ba0b3cdaca895f6405278e2939c6f2d87918d3ffb48f398807404a4bdc957",
+    ("solve-linear",):
+        "0245bdc1ff94802f1a50777e9afddfae762d75a18a241dbc1858194d4a55a82c",
+    ("two-squares",):
+        "21cd596e0401ccfa77f088f0a3497f4ba696d21504e7f4d1208e94c767c856cc",
+    ("gaussian",):
+        "04bdc6fdfe61ed6a1e97a8bd5b9f68fefbe3e793b0e3992c16ee4818de94c15e",
+    ("pyth-triple",):
+        "e2740aa5c3468b86ff88ca1d6e16e72cb933d5f4832dcafb974e6edb5be40c20",
+    ("triples",):
+        "cdf57316245d9a933ec206d620fdeeafa1809c3c00669ab6cab4965a3bf07264",
+    ("cz2",):
+        "4f95df5d15ed1cf90ca0d0e827d52fc126a6b21fd2e2cbe10cdfdd76afe63cbe",
+    ("zl",):
+        "9c3bf4be7f5ec6f11d56a36489945645a160b02b4dc44bfb285b0860eece430d",
+    ("quadruple",):
+        "e75b586561c3d5296f8b77612001954043adbac6ac9edcf06b81ecac566e1c85",
+    ("quadruples",):
+        "fc6eb2b7e5911e79a80df5fcda11e06f548b2b64315e08c945a73454a8ac459a",
+    # help inside a verify request is a request that cannot be checked
+    ("verify", "--", "jacobi", "-h"):
+        "35601babdfeea984f8d1fabffd60f6b696e7132e14273abae56ce69482c6d84c",
     # domain refusals of the library, each plain and with --json
     ("two-squares", "count", "-1"):
         "f595008eca9e721e3e43bf86e2e157cc08a508dea6e44126c69cecded4d81373",
