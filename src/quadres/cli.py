@@ -176,7 +176,9 @@ def _cmd_verify(args):
         raise _UsageError("verify needs a supported subcommand to check")
     try:
         inner = _parse(request)
-    except SystemExit:
+    except SystemExit as exc:
+        if exc.code == 0:  # -h: the help is printed; main returns 0, as for `jacobi -h`
+            raise
         raise _UsageError(f"could not parse verify request {request!r}") from None
     if inner.json:
         args.json = True
@@ -345,6 +347,8 @@ def main(argv=None) -> int:
         payload, lines = handler(args)
         if args.command == "verify" and not payload["agree"]:
             status, error, code = "error", "oracle disagreement", 1
+    except SystemExit as exc:  # help inside a verify request
+        return exc.code
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

@@ -9,16 +9,15 @@ from __future__ import annotations
 
 import math
 
-from .core import ResidueSet, _frozen
+from .core import ResidueSet, _Value
 from .errors import NotQuadratic, check_positive
 from .sqrtmod import _quadratic_roots
 
 
-class QuadCongruence:
+class QuadCongruence(_Value):
     """The congruence a*X^2 + b*X + c = 0 (mod n) with a not vanishing mod n."""
 
     __slots__ = ("a", "b", "c", "n")
-    __setattr__ = __delattr__ = _frozen
 
     def __init__(self, a: int, b: int, c: int, n: int) -> None:
         check_positive("modulus", n)
@@ -28,20 +27,6 @@ class QuadCongruence:
         _set_b(self, b)
         _set_c(self, c)
         _set_n(self, n)
-
-    def __eq__(self, other: object) -> bool:
-        if type(other) is not QuadCongruence:
-            return NotImplemented
-        return (self.a, self.b, self.c, self.n) == (other.a, other.b, other.c, other.n)
-
-    def __hash__(self) -> int:
-        return hash((self.a, self.b, self.c, self.n))
-
-    def __repr__(self) -> str:
-        return f"QuadCongruence(a={self.a!r}, b={self.b!r}, c={self.c!r}, n={self.n!r})"
-
-    def __reduce__(self):
-        return QuadCongruence, (self.a, self.b, self.c, self.n)
 
     @property
     def discriminant(self) -> int:

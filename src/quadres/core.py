@@ -13,6 +13,7 @@ from bisect import bisect_left
 from collections import namedtuple
 from collections.abc import Iterable
 from functools import lru_cache
+from operator import attrgetter
 
 from .errors import BudgetExceeded, EvenModulus, NonCoprimeModuli, ZeroOrUnit, check_positive
 
@@ -299,37 +300,51 @@ def _brent_rho(n: int) -> int:
             return g
 
 
-def _frozen(self, name: str, value: object = None) -> None:
-    # __setattr__ and __delattr__ of the value classes, which set their fields
-    # once, in __init__, through each slot's member descriptor (bound after
-    # the class, as _set_<field>); their __reduce__ lets pickle and copy
-    # rebuild them through __init__, not by setting slots
-    raise AttributeError(f"{type(self).__name__} is immutable: cannot set or delete {name!r}")
+class _Value:
+    """Base of `GaussianInt`, `ResidueSet` and `QuadCongruence`: equality, hash,
+    repr and pickling follow the tuple of a value's slots, in slot order, and
+    values of two classes never compare equal. A subclass sets each field once,
+    in `__init__`, through the slot's member descriptor (bound after the class,
+    as `_set_<field>`); setting or deleting a field after that raises, and
+    `__reduce__` lets pickle and copy rebuild a value through `__init__`."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        # every subclass has two or more slots, so the getter returns a tuple
+        cls._values = property(attrgetter(*cls.__slots__))
+        fields = ", ".join(f"{name}={{!r}}" for name in cls.__slots__)
+        cls._repr = f"{cls.__name__}({fields})"
+
+    def __setattr__(self, name: str, value: object = None) -> None:
+        kind = type(self).__name__
+        raise AttributeError(f"{kind} is immutable: cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values == other._values
+
+    def __hash__(self) -> int:
+        return hash(self._values)
+
+    def __repr__(self) -> str:
+        return self._repr.format(*self._values)
+
+    def __reduce__(self):
+        return type(self), self._values
 
 
-class ResidueSet:
+class ResidueSet(_Value):
     """The complete, sorted set of incongruent solutions modulo `modulus`."""
 
     __slots__ = ("modulus", "residues")
-    __setattr__ = __delattr__ = _frozen
 
     def __init__(self, modulus: int, residues: tuple[int, ...]) -> None:
         _set_modulus(self, modulus)
         _set_residues(self, residues)
-
-    def __eq__(self, other: object) -> bool:
-        if type(other) is not ResidueSet:
-            return NotImplemented
-        return self.modulus == other.modulus and self.residues == other.residues
-
-    def __hash__(self) -> int:
-        return hash((self.modulus, self.residues))
-
-    def __repr__(self) -> str:
-        return f"ResidueSet(modulus={self.modulus!r}, residues={self.residues!r})"
-
-    def __reduce__(self):
-        return ResidueSet, (self.modulus, self.residues)
 
     def __iter__(self):
         return iter(self.residues)

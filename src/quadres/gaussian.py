@@ -10,34 +10,19 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 
-from .core import _frozen, is_prime
+from .core import _Value, is_prime
 from .errors import BothZero, DivisionByZero, ZeroArgument, ZeroOrUnit, check_nonnegative
 from .two_squares import _split_factorization, represent_prime
 
 
-class GaussianInt:
+class GaussianInt(_Value):
     """An element re + im*i of Z(i); not a pair, so 3 * xi is a TypeError."""
 
     __slots__ = ("re", "im")
-    __setattr__ = __delattr__ = _frozen
 
     def __init__(self, re: int = 0, im: int = 0) -> None:
         _set_re(self, re)
         _set_im(self, im)
-
-    def __eq__(self, other: object) -> bool:
-        if type(other) is not GaussianInt:
-            return NotImplemented
-        return self.re == other.re and self.im == other.im
-
-    def __hash__(self) -> int:
-        return hash((self.re, self.im))
-
-    def __repr__(self) -> str:
-        return f"GaussianInt(re={self.re!r}, im={self.im!r})"
-
-    def __reduce__(self):
-        return GaussianInt, (self.re, self.im)
 
     def __add__(self, other: "GaussianInt") -> "GaussianInt":
         return GaussianInt(self.re + other.re, self.im + other.im)

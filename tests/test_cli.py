@@ -614,9 +614,10 @@ GOLDEN_REFUSAL_SHA256 = {
         "e75b586561c3d5296f8b77612001954043adbac6ac9edcf06b81ecac566e1c85",
     ("quadruples",):
         "fc6eb2b7e5911e79a80df5fcda11e06f548b2b64315e08c945a73454a8ac459a",
-    # help inside a verify request is a request that cannot be checked
+    # help inside a verify request is answered as `jacobi -h` is: the same
+    # transcript, so the same digest
     ("verify", "--", "jacobi", "-h"):
-        "35601babdfeea984f8d1fabffd60f6b696e7132e14273abae56ce69482c6d84c",
+        "56d6d6a32d715555f26b1b21de29eccf4c55e48b2d48d76c18c7b1c14c4a693e",
     # domain refusals of the library, each plain and with --json
     ("two-squares", "count", "-1"):
         "f595008eca9e721e3e43bf86e2e157cc08a508dea6e44126c69cecded4d81373",
@@ -671,6 +672,16 @@ def test_refusals_and_help_are_unchanged(capsys, monkeypatch, argv):
     monkeypatch.setenv("COLUMNS", "80")
     transcript = _transcript(capsys, *argv)
     assert _is_golden(transcript, GOLDEN_REFUSAL_SHA256[argv])
+
+
+@pytest.mark.parametrize("command", [name for name in cli._SUBCOMMANDS if name != "verify"])
+def test_help_inside_verify_is_the_subcommand_help(capsys, command):
+    # main returns the code and never raises SystemExit: the benchmark worker
+    # calls it in-process
+    direct = _transcript(capsys, command, "-h")
+    assert direct.startswith("0\nusage: ")
+    assert _transcript(capsys, "verify", "--", command, "-h") == direct
+    assert _transcript(capsys, "verify", command, "--help") == direct
 
 
 def test_verify_runs_the_requested_legendre_route(capsys, monkeypatch):

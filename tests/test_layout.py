@@ -1,8 +1,9 @@
 """Package layout: the reference routes in `oracle` stay out of the fast paths,
 every exported name resolves, every error type is raised somewhere, refusals
 are typed, the cached functions keep their caches, the value classes have one
-construction route, and a cold import loads neither `dataclasses` nor
-`typing`."""
+construction route and take their equality, hash, repr, pickling and
+immutability from the one base `core._Value`, and a cold import loads neither
+`dataclasses` nor `typing`."""
 
 import ast
 import os
@@ -11,7 +12,7 @@ import subprocess
 import sys
 
 import quadres
-from quadres import core, errors, symbols
+from quadres import congruences, core, errors, gaussian, symbols
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "quadres"
 
@@ -90,6 +91,17 @@ def test_no_object_setattr():
         and node.value.id == "object"
     )
     assert uses == []
+
+
+def test_value_classes_share_one_base():
+    # the base is the one definition of how a value compares, hashes, prints,
+    # pickles and refuses mutation
+    shared = ("__eq__", "__hash__", "__repr__", "__reduce__", "__setattr__", "__delattr__")
+    for cls in (gaussian.GaussianInt, core.ResidueSet, congruences.QuadCongruence):
+        assert cls.__bases__ == (core._Value,), cls
+        assert [name for name in shared if name in vars(cls)] == [], cls
+        assert "__init__" in vars(cls), cls
+    assert not hasattr(core, "_frozen")
 
 
 def test_cold_import_leaves_heavy_stdlib_modules_unloaded():

@@ -4,7 +4,9 @@ Seven result records (`TwoSquareRep`, `PythTriple`, `PythQuadruple`,
 `CZ2Solution`, `ZlSolution`, `Factorization`, `GaussianFactorization`) hold
 only ints, bools and tuples. `GaussianInt`, `ResidueSet` and `QuadCongruence`
 are values too, but not sequences: `3 * GaussianInt(1, 2)` must not repeat
-it, and a `ResidueSet` iterates over its residues.
+it, and a `ResidueSet` iterates over its residues. The three share one base,
+`core._Value`: their equality, hash, repr and pickling follow the tuple of
+their fields, and a value never equals one of another class.
 """
 
 import copy
@@ -124,6 +126,18 @@ def test_the_three_classes_are_not_tuples(make):
     obj = make(**fields)
     assert not isinstance(obj, tuple)
     assert obj != tuple(fields.values())
+
+
+def test_equal_fields_of_two_classes_are_unequal_values():
+    # the same field tuple in two of the three classes, compared both ways
+    pairs = [
+        (GaussianInt(8, (1,)), ResidueSet(8, (1,))),
+        (GaussianInt(1, 2), ResidueSet(1, 2)),
+    ]
+    for x, y in pairs + [(y, x) for x, y in pairs]:
+        assert not x == y
+        assert x != y
+    assert len({GaussianInt(1, 2), ResidueSet(1, 2)}) == 2
 
 
 def test_gaussian_int_is_not_a_sequence():
