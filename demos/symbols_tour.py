@@ -1,14 +1,20 @@
 #!/usr/bin/env python3
 """Walkthrough: Legendre and Jacobi symbols, several independent ways.
 
-Evaluates (365/1847) via Euler's criterion and the factorization-free
-Jacobi reduction, checks both against the references in `quadres.oracle`
-(Gauss's lemma, the Jacobi symbol by definition, a brute-force search),
-then shows reciprocity and the half-split of residues at work.
+Evaluates (365/1847) by the library's one production route, the
+factorization-free Jacobi reduction, and checks it against the references in
+`quadres.oracle` (Euler's criterion, Gauss's lemma, the Jacobi symbol by
+definition, a brute-force search), then shows reciprocity and the half-split
+of residues at work.
 """
 
 from quadres import jacobi, legendre_euler
-from quadres.oracle import brute_legendre, jacobi_by_definition, legendre_gauss_lemma
+from quadres.oracle import (
+    brute_legendre,
+    jacobi_by_definition,
+    legendre_euler_criterion,
+    legendre_gauss_lemma,
+)
 
 
 def banner(text):
@@ -18,7 +24,7 @@ def banner(text):
 
 
 banner("One symbol, four routes: (365 / 1847), 1847 prime")
-print("Euler's criterion   :", legendre_euler(365, 1847))
+print("Euler's criterion   :", legendre_euler_criterion(365, 1847))
 print("Gauss's lemma       :", legendre_gauss_lemma(365, 1847))
 print("Jacobi (no factoring):", jacobi(365, 1847))
 print("Jacobi by definition:", jacobi_by_definition(365, 1847))

@@ -257,5 +257,5 @@ def format_gaussian(xi: GaussianInt) -> str:
         im_str = f"{xi.im}i"
     if xi.re == 0:
         return im_str
-    sign = "+" if xi.im > 0 and not im_str.startswith("-") else ""
+    sign = "+" if xi.im > 0 else ""
     return f"{xi.re}{sign}{im_str}"

@@ -3,9 +3,10 @@
 Each shares no algorithm with the production route it checks: the extended
 Euclid (Bezout) route `ext_gcd` against the builtin `pow(., -1, m)` that
 `core.crt_combine` and `congruences.solve_linear` call; the `brute_*`
-definition-level scans; Gauss's lemma against Euler's criterion; the Jacobi
-symbol by definition (it does call `factorize` and `legendre_euler`) against
-reciprocity; r(n) by divisor sums against the exponent formula; the
+definition-level scans; Euler's criterion, Gauss's lemma and the Jacobi
+symbol by definition (it calls `factorize` and `legendre_euler_criterion`)
+against reciprocity, which computes `symbols.legendre_euler` and
+`core.jacobi`; r(n) by divisor sums against the exponent formula; the
 paper's pigeonhole construction against the Euclidean descent in
 `two_squares.rep_from_root`; and the paper's completing-square solver, which
 works modulo 4|a|n and maps roots back through linear congruences, against
@@ -23,7 +24,7 @@ from .core import ResidueSet, factorize
 from .errors import BadParameters, BudgetExceeded, EvenModulus, NotARoot, NotCoprime
 from .errors import check_nonnegative, check_positive
 from .sqrtmod import _quadratic_roots
-from .symbols import _check_odd_prime, legendre_euler
+from .symbols import _check_odd_prime
 from .two_squares import TwoSquareRep
 
 SCAN_BUDGET = 10**6
@@ -153,6 +154,13 @@ def brute_legendre(a: int, p: int) -> int:
     return -1
 
 
+def legendre_euler_criterion(a: int, p: int) -> int:
+    """Legendre symbol (a/p) by Euler's criterion: a^((p-1)/2) mod p."""
+    _check_odd_prime(p)
+    r = pow(a % p, (p - 1) // 2, p)
+    return -1 if r == p - 1 else r
+
+
 def legendre_gauss_lemma(a: int, p: int) -> int:
     """Legendre symbol (a/p) by Gauss's lemma.
 
@@ -170,7 +178,7 @@ def legendre_gauss_lemma(a: int, p: int) -> int:
 
 
 def jacobi_by_definition(a: int, n: int) -> int:
-    """Jacobi symbol as the product of legendre_euler over the factorization of n.
+    """Jacobi symbol as the product of Euler's criterion over the factorization of n.
 
     Independent of jacobi(); used as its cross-check oracle.
     """
@@ -181,7 +189,7 @@ def jacobi_by_definition(a: int, n: int) -> int:
         return 1
     result = 1
     for p, e in factorize(n).factors:
-        s = legendre_euler(a, p)
+        s = legendre_euler_criterion(a, p)
         if s == 0:
             return 0
         if s == -1 and e % 2 == 1:

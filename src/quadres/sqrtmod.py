@@ -31,7 +31,7 @@ import math
 
 from .core import ResidueSet, _odd_part, crt_combine, factorize, jacobi
 from .errors import NotCoprime, check_positive
-from .symbols import _check_odd_prime, legendre_euler
+from .symbols import _check_odd_prime
 
 
 def sqrt_mod_prime(a: int, p: int) -> ResidueSet:
@@ -133,8 +133,8 @@ def sqrt_mod(a: int, n: int) -> ResidueSet:
 def is_quadratic_residue(a: int, n: int) -> bool:
     """Solvability of X^2 = a (mod n) without enumerating the solutions.
 
-    Checks (a/p) = 1 at every odd prime divisor plus the 2-adic condition
-    a = 1 mod 2, 4 or 8 depending on the power of 2 dividing n.
+    Checks (a/p) = 1 by `jacobi` at every odd prime divisor plus the 2-adic
+    condition a = 1 mod 2, 4 or 8 depending on the power of 2 dividing n.
     """
     check_positive("modulus", n)
     if math.gcd(a, n) != 1:
@@ -145,6 +145,6 @@ def is_quadratic_residue(a: int, n: int) -> bool:
                 return False
             if e >= 3 and a % 8 != 1:
                 return False
-        elif legendre_euler(a, p) != 1:
+        elif jacobi(a, p) != 1:
             return False
     return True

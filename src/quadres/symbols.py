@@ -1,10 +1,11 @@
-"""Legendre and Jacobi symbols, one route each.
+"""Legendre and Jacobi symbols, one route for both.
 
-The Legendre symbol comes from Euler's criterion and the Jacobi symbol from
-quadratic reciprocity, without factoring; the Jacobi symbol is defined in
-`core`, whose Lucas primality test needs it. Results are plain ints in
-{-1, 0, +1}. The paper's other routes, Gauss's lemma and the Jacobi symbol
-by definition, are test references in `oracle`.
+The Jacobi symbol comes from quadratic reciprocity, without factoring; it is
+defined in `core`, whose Lucas primality test needs it. At an odd prime p it
+is the Legendre symbol, so `legendre_euler` checks that p is an odd prime and
+returns `jacobi(a, p)`. Results are plain ints in {-1, 0, +1}. The paper's
+other routes, Euler's criterion, Gauss's lemma and the Jacobi symbol by
+definition, are test references in `oracle`.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ def _check_odd_prime(p: int) -> None:
 
 
 def legendre_euler(a: int, p: int) -> int:
-    """Legendre symbol (a/p) by Euler's criterion: a^((p-1)/2) mod p."""
+    """Legendre symbol (a/p), p an odd prime: the value that Euler's criterion
+    a^((p-1)/2) = (a/p) (mod p) defines, computed by reciprocity."""
     _check_odd_prime(p)
-    r = pow(a % p, (p - 1) // 2, p)
-    return -1 if r == p - 1 else r
+    return jacobi(a, p)

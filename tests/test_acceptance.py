@@ -40,6 +40,7 @@ from quadres.oracle import (
     brute_two_squares,
     count_representations_by_divisors,
     jacobi_by_definition,
+    legendre_euler_criterion,
     legendre_gauss_lemma,
 )
 from quadres.sqrtmod import sqrt_mod
@@ -132,16 +133,17 @@ def test_criterion_04_symbol_oracle_sweep():
             g = legendre_gauss_lemma(a, p)
             j = jacobi(a, p)
             b = brute_legendre(a, p)
-            if not (e == g == j == b):
-                failures.append((a, p, e, g, j, b))
-            if e == 1:
+            c = legendre_euler_criterion(a, p)
+            if not (e == g == j == b == c):
+                failures.append((a, p, e, g, j, b, c))
+            if c == 1:
                 residues += 1
         if residues != (p - 1) // 2:
             failures.append((p, "split", residues))
     elapsed = time.perf_counter() - t0
     if elapsed >= 60:
         failures.append(f"runtime {elapsed:.1f}s >= 60s")
-    _report("criterion 04: four-way symbol agreement, p < 1000, < 60 s",
+    _report("criterion 04: five-way symbol agreement, p < 1000, < 60 s",
             failures, elapsed)
 
 

@@ -2,8 +2,9 @@
 every exported name resolves, every error type is raised somewhere, refusals
 are typed, the cached functions keep their caches, the value classes have one
 construction route and take their equality, hash, repr, pickling and
-immutability from the one base `core._Value`, and a cold import loads neither
-`dataclasses` nor `typing`."""
+immutability from the one base `core._Value`, the Legendre symbol has one
+production route, and a cold import loads neither `dataclasses` nor
+`typing`."""
 
 import ast
 import os
@@ -115,6 +116,29 @@ def test_cold_import_leaves_heavy_stdlib_modules_unloaded():
         [sys.executable, "-S", "-c", probe], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "[]"
+
+
+def test_one_production_legendre_route():
+    # reciprocity is the one production route to (a/p); Euler's power is a
+    # reference in oracle, which must not check jacobi against itself
+    def tree(name):
+        return ast.parse((SRC / name).read_text())
+
+    pow_calls = [
+        node.lineno
+        for node in ast.walk(tree("symbols.py"))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "pow"
+    ]
+    assert pow_calls == []
+    oracle_imports = sorted(
+        name
+        for name in _imported_modules(tree("oracle.py"))
+        if name.rsplit(".", 1)[-1] in ("jacobi", "legendre_euler")
+    )
+    assert oracle_imports == []
+    assert not any(
+        name.endswith(".legendre_euler") for name in _imported_modules(tree("sqrtmod.py"))
+    )
 
 
 def test_jacobi_is_one_function_re_exported():

@@ -1,12 +1,15 @@
 import math
 import random
+from unittest import mock
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from conftest import odd_primes_upto, time_limit
 from quadres import sqrtmod
 from quadres.cli import main
 from quadres.congruences import QuadCongruence, solve_quadratic
+from quadres.core import Factorization, factorize
 from quadres.errors import NotCoprime, NotOddPrime
 from quadres.oracle import brute_sqrt_mod
 from quadres.sqrtmod import is_quadratic_residue, sqrt_mod, sqrt_mod_prime
@@ -238,6 +241,33 @@ def test_is_quadratic_residue_matches_enumeration():
         for a in range(n):
             if math.gcd(a, n) == 1:
                 assert is_quadratic_residue(a, n) == bool(sqrt_mod(a, n).residues)
+
+
+@settings(deadline=None)
+@given(
+    st.integers(0, 4),
+    st.lists(
+        st.integers(6, 15).flatmap(lambda d: st.integers(10 ** (d - 1), 10**d - 1)),
+        min_size=2,
+        max_size=4,
+    ),
+    st.booleans(),
+    st.data(),
+)
+def test_is_quadratic_residue_matches_sqrt_mod_at_large_moduli(g, seeds, square, data):
+    sympy = pytest.importorskip("sympy")
+    primes = []
+    for s in sorted(seeds):
+        primes.append(sympy.nextprime(max(s, primes[-1]) if primes else s))
+    known = Factorization(1, tuple(([(2, g)] if g else []) + [(p, 1) for p in primes]))
+    n = known.value()
+    x = 2 * data.draw(st.integers(0, n // 2 - 1)) + 1
+    assume(math.gcd(x, n) == 1)
+    a = x * x % n if square else x
+    # rho would take about 10^7 steps on two 15-digit primes; the factorization
+    # is known because the primes were chosen
+    with mock.patch.object(sqrtmod, "factorize", lambda m: known if m == n else factorize(m)):
+        assert is_quadratic_residue(a, n) == bool(sqrt_mod(a, n).residues), (a, n)
 
 
 def test_sqrt_mod_hard_semiprime():

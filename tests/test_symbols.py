@@ -1,11 +1,11 @@
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from conftest import odd_primes_upto
 from quadres.errors import EvenModulus, NotCoprime, NotOddPrime
-from quadres.oracle import jacobi_by_definition, legendre_gauss_lemma
+from quadres.oracle import jacobi_by_definition, legendre_euler_criterion, legendre_gauss_lemma
 from quadres.symbols import jacobi, legendre_euler
 
 
@@ -21,6 +21,19 @@ def test_legendre_euler_two_supplement():
         assert legendre_euler(2, p) == (1 if p % 8 in (1, 7) else -1)
 
 
+@settings(deadline=None)
+@given(
+    st.sampled_from((18, 30, 60)).flatmap(lambda d: st.integers(10 ** (d - 1), 10**d - 1)),
+    st.data(),
+)
+def test_legendre_matches_euler_criterion_at_benchmark_magnitudes(x, data):
+    # the benchmark's legendre requests use 30-digit primes
+    sympy = pytest.importorskip("sympy")
+    p = sympy.nextprime(x)
+    a = data.draw(st.one_of(st.integers(-2, 2).map(lambda k: k * p), st.integers(-2 * p, 2 * p)))
+    assert legendre_euler(a, p) == legendre_euler_criterion(a, p)
+
+
 def test_legendre_gauss_lemma_examples():
     assert legendre_gauss_lemma(-1, 13) == 1
     assert legendre_gauss_lemma(-1, 7) == -1
@@ -28,7 +41,7 @@ def test_legendre_gauss_lemma_examples():
 
 
 def test_legendre_rejects_bad_modulus():
-    for fn in (legendre_euler, legendre_gauss_lemma):
+    for fn in (legendre_euler, legendre_euler_criterion, legendre_gauss_lemma):
         for p in (2, 9, 15, 1, -7):
             with pytest.raises(NotOddPrime):
                 fn(2, p)
