@@ -1,8 +1,10 @@
 """Command-line frontend exposing every capability of the library.
 
-Plain mode prints one result per line; --json wraps each invocation in a
-deterministic envelope (sorted keys, sorted result lists). Exit codes:
-0 ok (an empty solution set is still ok), 1 domain error, 2 usage error.
+Each subcommand returns the library's value, and `_render` is the one place
+that defines its output, read off the value's type. Plain mode prints one
+result per line; --json wraps each invocation in a deterministic envelope
+(sorted keys, sorted result lists). Exit codes: 0 ok (an empty solution set
+is still ok), 1 domain error, 2 usage error.
 """
 
 from __future__ import annotations
@@ -14,8 +16,10 @@ import sys
 
 from . import gaussian as zi
 from .congruences import QuadCongruence, solve_linear, solve_quadratic
+from .core import ResidueSet
 from .oracle import brute_legendre, brute_quadratic, brute_sqrt_mod, brute_two_squares
 from .oracle import jacobi_by_definition, legendre_gauss_lemma
+from .diophantine import CZ2Solution, PythQuadruple, PythTriple, ZlSolution
 from .diophantine import (
     cz2_solution,
     enumerate_primitive_triples,
@@ -28,6 +32,7 @@ from .errors import NumberTheoryError
 from .sqrtmod import sqrt_mod
 from .symbols import jacobi, legendre_euler
 from .two_squares import (
+    TwoSquareRep,
     all_representations,
     count_representations,
     primitive_representations,
@@ -39,58 +44,16 @@ class _UsageError(Exception):
     pass
 
 
-def _residue_payload(rs) -> dict:
-    return {"modulus": rs.modulus, "residues": list(rs.residues)}
+def _two_squares(args):
+    if args.action == "represent-prime":
+        return [represent_prime(args.n)]
+    return {
+        "count": count_representations, "list": all_representations,
+        "primitive": primitive_representations,
+    }[args.action](args.n)
 
 
-def _residue_lines(rs) -> list[str]:
-    return [str(x) for x in rs.residues]
-
-
-def _rep_lines(reps) -> list[str]:
-    return [f"{rep.a} {rep.b}" for rep in reps]
-
-
-def _cmd_jacobi(args):
-    value = jacobi(args.a, args.n)
-    return value, [str(value)]
-
-
-def _cmd_legendre(args):
-    fn = legendre_euler if args.method == "euler" else legendre_gauss_lemma
-    value = fn(args.a, args.p)
-    return value, [str(value)]
-
-
-def _cmd_sqrtmod(args):
-    rs = sqrt_mod(args.a, args.n)
-    return _residue_payload(rs), _residue_lines(rs)
-
-
-def _cmd_solve_quadratic(args):
-    rs = solve_quadratic(QuadCongruence(args.a, args.b, args.c, args.mod))
-    return _residue_payload(rs), _residue_lines(rs)
-
-
-def _cmd_solve_linear(args):
-    rs = solve_linear(args.a, args.b, args.mod)
-    return _residue_payload(rs), _residue_lines(rs)
-
-
-def _cmd_two_squares(args):
-    if args.action == "count":
-        value = count_representations(args.n)
-        return value, [str(value)]
-    if args.action == "list":
-        reps = all_representations(args.n)
-    elif args.action == "primitive":
-        reps = primitive_representations(args.n)
-    else:
-        reps = [represent_prime(args.n)]
-    return [rep._asdict() for rep in reps], _rep_lines(reps)
-
-
-def _cmd_gaussian(args):
+def _gaussian(args):
     arity = 2 if args.action in ("divrem", "gcd") else 1
     if len(args.args) != arity:
         raise _UsageError(f"gaussian {args.action} takes exactly {arity} argument(s)")
@@ -98,61 +61,44 @@ def _cmd_gaussian(args):
         values = [zi.parse_gaussian(text) for text in args.args]
     except ValueError as exc:
         raise _UsageError(str(exc)) from None
-    if args.action == "norm":
-        value = zi.norm(values[0])
-        return value, [str(value)]
-    if args.action == "is-prime":
-        value = zi.is_gaussian_prime(values[0])
+    return {
+        "norm": zi.norm, "divrem": zi.div_rem, "gcd": zi.gcd, "factor": zi.factor,
+        "is-prime": zi.is_gaussian_prime,
+    }[args.action](*values)
+
+
+# a record's plain line: its leading fields (str.format ignores the rest)
+_RECORD_LINE = {
+    TwoSquareRep: "{} {}".format, PythTriple: "{} {} {}".format, CZ2Solution: "{} {} {}".format,
+    ZlSolution: "{} {} {}".format, PythQuadruple: "{} {} {} {}".format,
+}
+
+
+def _render(value):
+    """The JSON payload and the plain lines of a subcommand's value, read off
+    its type: the one place that defines how a result prints."""
+    if isinstance(value, bool):  # before int: bool is an int
         return value, ["true" if value else "false"]
-    if args.action == "divrem":
-        kappa, rho = zi.div_rem(values[0], values[1])
-        return (
-            {"quotient": str(kappa), "remainder": str(rho)},
-            [str(kappa), str(rho)],
-        )
-    if args.action == "gcd":
-        value = zi.gcd(values[0], values[1])
+    if isinstance(value, int):
+        return value, [str(value)]
+    if isinstance(value, list):  # of one record type: look it up once
+        line = _RECORD_LINE[type(value[0])] if value else None
+        return [record._asdict() for record in value], [line(*record) for record in value]
+    line = _RECORD_LINE.get(type(value))
+    if line is not None:
+        return value._asdict(), [line(*value)]
+    if isinstance(value, ResidueSet):
+        rs = value.residues
+        return {"modulus": value.modulus, "residues": list(rs)}, [str(x) for x in rs]
+    if isinstance(value, zi.GaussianInt):
         return str(value), [str(value)]
-    fact = zi.factor(values[0])
-    payload = {
-        "unit": str(fact.unit),
-        "factors": [[str(prime), e] for prime, e in fact.factors],
-    }
-    lines = [f"unit {fact.unit}"] + [f"({prime})^{e}" for prime, e in fact.factors]
-    return payload, lines
-
-
-def _cmd_pyth_triple(args):
-    triple = pyth_triple(args.m, args.n)
-    return triple._asdict(), [f"{triple.s} {triple.t} {triple.r}"]
-
-
-def _cmd_triples(args):
-    triples = enumerate_primitive_triples(args.max)
-    return [t._asdict() for t in triples], [f"{t.s} {t.t} {t.r}" for t in triples]
-
-
-def _cmd_cz2(args):
-    sol = cz2_solution(
-        args.c, args.d3, args.uv[0], args.uv[1], args.g,
-        pyth_triple(args.triple[0], args.triple[1]),
-    )
-    return sol._asdict(), [f"{sol.x} {sol.y} {sol.z}"]
-
-
-def _cmd_zl(args):
-    sol = zl_solution(args.l, args.a, args.b)
-    return sol._asdict(), [f"{sol.x} {sol.y} {sol.z}"]
-
-
-def _cmd_quadruple(args):
-    quad = pyth_quadruple(args.m, args.n, args.u, args.v)
-    return quad._asdict(), [f"{quad.x} {quad.y} {quad.z} {quad.w}"]
-
-
-def _cmd_quadruples(args):
-    quads = enumerate_quadruples(args.max)
-    return [q._asdict() for q in quads], [f"{q.x} {q.y} {q.z} {q.w}" for q in quads]
+    if isinstance(value, zi.GaussianFactorization):
+        return (
+            {"unit": str(value.unit), "factors": [[str(p), e] for p, e in value.factors]},
+            [f"unit {value.unit}"] + [f"({p})^{e}" for p, e in value.factors],
+        )
+    kappa, rho = value  # the quotient and remainder of `div_rem`
+    return {"quotient": str(kappa), "remainder": str(rho)}, [str(kappa), str(rho)]
 
 
 def _scan_two_squares(args):
@@ -183,7 +129,7 @@ def _cmd_verify(args):
     if inner.json:
         args.json = True
     command = inner.command
-    _, _, handler, oracle_of = _SUBCOMMANDS[command]
+    _, _, call, oracle_of = _SUBCOMMANDS[command]
     if oracle_of is None:
         raise _UsageError(f"verify does not support {' '.join(request)!r}")
 
@@ -194,7 +140,7 @@ def _cmd_verify(args):
     # the one reported: `sqrtmod 3 3000027` is NotCoprime, not the scan's
     # BudgetExceeded.
     oracle = oracle_of(inner) if command == "two-squares" else None
-    value = handler(inner)[0]
+    value = _render(call(inner))[0]
     if command != "two-squares":
         oracle = oracle_of(inner)
     elif inner.action != "count":
@@ -218,50 +164,58 @@ def _ints(*names):
 
 _MOD = _arg("--mod", type=int, required=True, metavar="N")
 
-# One row per subcommand: its help line, its arguments in order, the handler
-# that returns (JSON payload, plain lines) and the brute-force side that
-# `verify` compares with the handler's value (None: `verify` refuses it).
-# Each oracle looks its reference route up at call time, as the handlers do,
-# so a route rebound on this module is the one that runs.
+# One row per subcommand: its help line, its arguments in order, the call that
+# returns the library's value and the brute-force side that `verify` compares
+# with that value (None: `verify` refuses it). `_render` alone turns a value
+# into its JSON payload and plain lines; `verify`'s own call returns its
+# transcript ready made. Each call and each oracle looks its route up at call
+# time, so a route rebound on this module is the one that runs.
 _SUBCOMMANDS = {
     "jacobi": (
-        "Jacobi symbol (a/n)", _ints("a", "n"), _cmd_jacobi,
+        "Jacobi symbol (a/n)", _ints("a", "n"), lambda args: jacobi(args.a, args.n),
         lambda args: jacobi_by_definition(args.a, args.n),
     ),
     "legendre": (
         "Legendre symbol (a/p)",
         _ints("a", "p") + [_arg("--method", choices=("euler", "gauss-lemma"), default="euler")],
-        _cmd_legendre,
+        lambda args: (
+            legendre_euler if args.method == "euler" else legendre_gauss_lemma
+        )(args.a, args.p),
         lambda args: brute_legendre(args.a, args.p),
     ),
     "sqrtmod": (
-        "solve X^2 = a (mod n)", _ints("a", "n"), _cmd_sqrtmod,
-        lambda args: _residue_payload(brute_sqrt_mod(args.a, args.n)),
+        "solve X^2 = a (mod n)", _ints("a", "n"), lambda args: sqrt_mod(args.a, args.n),
+        lambda args: _render(brute_sqrt_mod(args.a, args.n))[0],
     ),
     "solve-quadratic": (
         "solve a*X^2 + b*X + c = 0 (mod n)", _ints("a", "b", "c") + [_MOD],
-        _cmd_solve_quadratic,
-        lambda args: _residue_payload(brute_quadratic(args.a, args.b, args.c, args.mod)),
+        lambda args: solve_quadratic(QuadCongruence(args.a, args.b, args.c, args.mod)),
+        lambda args: _render(brute_quadratic(args.a, args.b, args.c, args.mod))[0],
     ),
     "solve-linear": (
-        "solve a*X = b (mod n)", _ints("a", "b") + [_MOD], _cmd_solve_linear, None,
+        "solve a*X = b (mod n)", _ints("a", "b") + [_MOD],
+        lambda args: solve_linear(args.a, args.b, args.mod), None,
     ),
     "two-squares": (
         "representations n = A^2 + B^2",
         [_arg("action", choices=("count", "list", "primitive", "represent-prime")),
          _arg("n", type=int)],
-        _cmd_two_squares, _scan_two_squares,
+        _two_squares, _scan_two_squares,
     ),
     "gaussian": (
         "arithmetic in Z(i)",
         [_arg("action", choices=("norm", "divrem", "gcd", "factor", "is-prime")),
          _arg("args", nargs="+", metavar="a+bi")],
-        _cmd_gaussian, None,
+        _gaussian, None,
     ),
-    "pyth-triple": ("primitive triple from (m, n)", _ints("m", "n"), _cmd_pyth_triple, None),
+    "pyth-triple": (
+        "primitive triple from (m, n)", _ints("m", "n"),
+        lambda args: pyth_triple(args.m, args.n), None,
+    ),
     "triples": (
         "primitive triples with hypotenuse <= R",
-        [_arg("--max", type=int, required=True, metavar="R")], _cmd_triples, None,
+        [_arg("--max", type=int, required=True, metavar="R")],
+        lambda args: enumerate_primitive_triples(args.max), None,
     ),
     "cz2": (
         "solution of X^2 + Y^2 = c*Z^2",
@@ -269,15 +223,21 @@ _SUBCOMMANDS = {
          _arg("--uv", type=int, nargs=2, required=True, metavar=("U", "V")),
          _arg("--g", type=int, default=0),
          _arg("--triple", type=int, nargs=2, required=True, metavar=("M", "N"))],
-        _cmd_cz2, None,
+        lambda args: cz2_solution(args.c, args.d3, *args.uv, args.g, pyth_triple(*args.triple)),
+        None,
     ),
-    "zl": ("solution of X^2 + Y^2 = Z^l", _ints("l", "a", "b"), _cmd_zl, None),
+    "zl": (
+        "solution of X^2 + Y^2 = Z^l", _ints("l", "a", "b"),
+        lambda args: zl_solution(args.l, args.a, args.b), None,
+    ),
     "quadruple": (
-        "quadruple from (m, n, u, v)", _ints("m", "n", "u", "v"), _cmd_quadruple, None,
+        "quadruple from (m, n, u, v)", _ints("m", "n", "u", "v"),
+        lambda args: pyth_quadruple(args.m, args.n, args.u, args.v), None,
     ),
     "quadruples": (
         "primitive quadruples with w <= W",
-        [_arg("--max", type=int, required=True, metavar="W")], _cmd_quadruples, None,
+        [_arg("--max", type=int, required=True, metavar="W")],
+        lambda args: enumerate_quadruples(args.max), None,
     ),
     "verify": (
         "re-run a request through the brute-force oracle and compare",
@@ -343,8 +303,8 @@ def main(argv=None) -> int:
 
     payload, lines, status, error, code = None, [], "ok", None, 0
     try:
-        _, _, handler, _ = _SUBCOMMANDS[args.command]
-        payload, lines = handler(args)
+        value = _SUBCOMMANDS[args.command][2](args)
+        payload, lines = value if args.command == "verify" else _render(value)
         if args.command == "verify" and not payload["agree"]:
             status, error, code = "error", "oracle disagreement", 1
     except SystemExit as exc:  # help inside a verify request

@@ -16,7 +16,7 @@ from .two_squares import _split_factorization, represent_prime
 
 
 class GaussianInt(_Value):
-    """An element re + im*i of Z(i); not a pair, so 3 * xi is a TypeError."""
+    """An element re + im*i of Z(i); not a pair, so 3 * xi and xi * 3 are TypeErrors."""
 
     __slots__ = ("re", "im")
 
@@ -25,12 +25,18 @@ class GaussianInt(_Value):
         _set_im(self, im)
 
     def __add__(self, other: "GaussianInt") -> "GaussianInt":
+        if type(other) is not GaussianInt:
+            return NotImplemented
         return GaussianInt(self.re + other.re, self.im + other.im)
 
     def __sub__(self, other: "GaussianInt") -> "GaussianInt":
+        if type(other) is not GaussianInt:
+            return NotImplemented
         return GaussianInt(self.re - other.re, self.im - other.im)
 
     def __mul__(self, other: "GaussianInt") -> "GaussianInt":
+        if type(other) is not GaussianInt:
+            return NotImplemented
         return GaussianInt(
             self.re * other.re - self.im * other.im,
             self.re * other.im + self.im * other.re,
@@ -221,7 +227,11 @@ def factor(xi: GaussianInt) -> GaussianFactorization:
 
 def parse_gaussian(text: str) -> GaussianInt:
     """Parse 'a+bi' / 'a-bi' / 'bi' / 'a', with 'i' and '-i' for b = +-1."""
-    s = text.strip().replace(" ", "")
+    # spaces around a sign go; between two digits they stay, and int() refuses them
+    s = text.strip()
+    if " " in s:
+        for sign in "+-":
+            s = sign.join(part.strip() for part in s.split(sign))
     if not s:
         raise ValueError("empty Gaussian integer literal")
     try:

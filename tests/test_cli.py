@@ -378,6 +378,30 @@ GOLDEN_JSON_SHA256 = {
     # 729 roots mod 2·3^12, the large CRT component second
     ("solve-quadratic", "1", "0", "0", "--mod", "1062882"):
         "dd4e74d47a7380926c985261130a0c0b5d4a2b4ac15d13f7cecdbe2c229f15a4",
+    # every Gaussian action, and the payloads no other entry pins
+    ("gaussian", "norm", "2+3i"):
+        "e463fdbb57d524c792b715b1d501d9dad1a9ad5d95c8adb9abbdd7304bd85dc6",
+    ("gaussian", "divrem", "5", "1+i"):
+        "6049796972f4f253bd068ee37a4fad2b4793be544412945821ff65457c3e8801",
+    ("gaussian", "gcd", "5", "2+i"):
+        "b9ea9a9a136eadb0b39a06d971c8230717501cb53aaf0a325a7b5c71deceb942",
+    ("gaussian", "is-prime", "1+i"):
+        "eb4c7099153554bc4e9458bd9f326efc30fc58ce46eeb68b23b83ffb83d3fa5d",
+    ("gaussian", "is-prime", "4"):
+        "fdd3d0207b0c07609722510654153a37194d3e1a0d3f5345e91373e64bec9516",
+    ("gaussian", "factor", "5"):
+        "374cd0a8c66200cc7c18a3ecdf59ac71d539772e43fb61fad5a146ab110ea879",
+    ("solve-linear", "6", "114", "--mod", "180"):
+        "13dd79321c601e007707cb7c090ead77e2ad55cdf0dac90bb6a2939bff881841",
+    ("legendre", "-1", "13"):
+        "5e3c90e95ec60f64deeb294a6e5d32d4cd2ff03643894791dbf94e31d7b62755",
+    # empty results
+    ("triples", "--max", "1"):
+        "80fe65fb046e4847275c61e776ed559a0aa8f501be8478a8c377df40364c8fcd",
+    ("quadruples", "--max", "2"):
+        "2068c0f47768444d7304f3dabd8b22389b07f5a7e3aa8002c6a00759283de246",
+    ("two-squares", "primitive", "3"):
+        "96cebe4d670c5ff4f62a1f4e1570eaced83e4d376acd6b8714d77a6df67c8540",
 }
 
 # the plain-text output, as SHA-256
@@ -390,6 +414,35 @@ GOLDEN_PLAIN_SHA256 = {
         "6ee55a68c87db4e9a77f582e498d14ad09d336e6326ca3ae16ebd6518f3bae60",
     ("solve-quadratic", "1", "0", "0", "--mod", "1062882"):
         "fed3fe6595b6f132cdddde2f05a1e73e13887374913149e26bab018a281aedde",
+    ("gaussian", "norm", "2+3i"):
+        "1a252402972f6057fa53cc172b52b9ffca698e18311facd0f3b06ecaaef79e17",
+    ("gaussian", "divrem", "5", "1+i"):
+        "93d04aa2be1cfb07c1e6c0035cac3207dd45463e309b0289276c37b85ef097d7",
+    ("gaussian", "gcd", "5", "2+i"):
+        "acee108cf06ab0747d56342ce8bd7dedd178c34dc05105d317d194657e3a1df8",
+    ("gaussian", "is-prime", "1+i"):
+        "a17fcf0a2f50e2d495e4f90ce263410edc183add6c62699a2facbccf60410f74",
+    ("gaussian", "is-prime", "4"):
+        "2ed27c1421e6928dbe13dbfdb5c59e1045b30341fe7ebe05700006bc5ac572c0",
+    ("gaussian", "factor", "5"):
+        "af1b76773cc1642c46155e5d507da37b9789b207183dcf440619468ecd7e8249",
+    ("gaussian", "factor", "--", "-84+37i"):
+        "30ac7e15e4ea140a07410b1a585383fbd26251b352b7bf8eb338e0d0540b3553",
+    ("two-squares", "count", "25"):
+        "a1fb50e6c86fae1679ef3351296fd6713411a08cf8dd1790a4fd05fae8688164",
+    ("two-squares", "list", "25"):
+        "ef083ff3640f352fb21b164053060869a6449e67b08f1ca9fe7b6fdd65c4a5e7",
+    ("two-squares", "primitive", "65"):
+        "12ef287a4f3e61babbfa90d8250affcee6c05fcd4643b3d4ee320bb6ff6f0b7e",
+    ("two-squares", "represent-prime", "13"):
+        "ece3d232c1ca9ef8a80b6fdb1585b8f5cf653b9dd023b0521c8da64db859ffac",
+    # empty results print nothing
+    ("triples", "--max", "1"):
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ("quadruples", "--max", "2"):
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ("two-squares", "primitive", "3"):
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
 }
 
 
@@ -649,6 +702,12 @@ GOLDEN_REFUSAL_SHA256 = {
         "1482cd2cbf0dedc7ce63f28a6218beae4b4d15db8d3eb386155666545f2e1308",
     ("gaussian", "factor", "0", "--json"):
         "84807051f054c55fefc8032443223d0e4722300e405b499c8e0176b81ca62766",
+    # digits split by whitespace are not one number
+    ("gaussian", "norm", "1 2"):
+        "2\nusage error: invalid Gaussian integer literal: '1 2'\n",
+    # --json ahead of the `--` that lets a literal start with a minus sign
+    ("gaussian", "--json", "factor", "--", "-84+37i"):
+        "d405e7a84dcf7657b4c9925e2f2137fe5b793f8809d1ccb2dd3b6ed5121503ea",
     # results too long for str(): Python refuses past 4,300 digits
     ("zl", "20000", "2", "1"):
         "1\nerror: result has more than 4300 digits\n",

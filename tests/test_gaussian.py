@@ -443,11 +443,14 @@ def test_parse_and_format():
         "3-i": Z(3, -1),
         "-2-5i": Z(-2, -5),
         "+8+1i": Z(8, 1),
+        " 3+4i ": Z(3, 4),
+        "3 + 4i": Z(3, 4),
     }
     for text, value in cases.items():
         assert parse_gaussian(text) == value
     for g in _disk(100):
         assert parse_gaussian(format_gaussian(g)) == g
-    for bad in ("", "2+", "ii", "3 + x", "1.5i"):
+    # whitespace between two digits is refused, not deleted
+    for bad in ("", "2+", "ii", "3 + x", "1.5i", "1 2", "1 2i", "3+4 5i"):
         with pytest.raises(ValueError):
             parse_gaussian(bad)

@@ -3,8 +3,8 @@ every exported name resolves, every error type is raised somewhere, refusals
 are typed, the cached functions keep their caches, the value classes have one
 construction route and take their equality, hash, repr, pickling and
 immutability from the one base `core._Value`, the Legendre symbol has one
-production route, and a cold import loads neither `dataclasses` nor
-`typing`."""
+production route, a cold import loads neither `dataclasses` nor `typing`,
+and one function of the CLI defines how its results print."""
 
 import ast
 import os
@@ -188,3 +188,30 @@ def test_no_untyped_refusals():
         and exc.id in ("ValueError", "ZeroDivisionError")
     )
     assert untyped == [("gaussian.py", "parse_gaussian", "ValueError")] * 2
+
+
+def test_cli_output_format_is_defined_once():
+    # each subcommand returns the library's value and `_render` alone turns it
+    # into plain lines; `verify` writes its own value/oracle/agree transcript
+    functions = [
+        node
+        for node in ast.walk(ast.parse((SRC / "cli.py").read_text()))
+        if isinstance(node, (ast.FunctionDef, ast.Lambda))
+    ]
+    handlers = [f.name for f in functions if getattr(f, "name", "").startswith("_cmd_")]
+    assert handlers == ["_cmd_verify"]
+
+    def formats_text(node):
+        if isinstance(node, ast.JoinedStr):
+            return True
+        func = getattr(node, "func", None)
+        return isinstance(func, ast.Name) and func.id == "str" or (
+            isinstance(func, ast.Attribute) and func.attr == "format"
+        )
+
+    def makes_lines(func):
+        lists = [node for node in ast.walk(func) if isinstance(node, (ast.List, ast.ListComp))]
+        return any(formats_text(inner) for node in lists for inner in ast.walk(node))
+
+    line_makers = sorted(getattr(f, "name", "<lambda>") for f in functions if makes_lines(f))
+    assert line_makers == ["_cmd_verify", "_render"]

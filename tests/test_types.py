@@ -144,6 +144,12 @@ def test_gaussian_int_is_not_a_sequence():
     with pytest.raises(TypeError):
         3 * GaussianInt(1, 2)
     with pytest.raises(TypeError):
+        GaussianInt(1, 2) * 3
+    with pytest.raises(TypeError):
+        GaussianInt(1, 2) + 3
+    with pytest.raises(TypeError):
+        GaussianInt(1, 2) - 3
+    with pytest.raises(TypeError):
         len(GaussianInt(1, 2))
     with pytest.raises(TypeError):
         iter(GaussianInt(1, 2))
