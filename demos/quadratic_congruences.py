@@ -3,8 +3,8 @@
 
 The same quadratic is solved against three moduli. The paper's route
 completes the square modulo 4|a|n, keeps the roots with t = b (mod 2a) and
-maps each back through a linear congruence; it lives on as the reference
-`oracle.completing_square_quadratic`. The library's `solve_quadratic` works
+maps each back by one exact division, X = (t - b)/(2a); it lives on as the
+reference `oracle.completing_square_quadratic`. The library's `solve_quadratic` works
 one prime power of n at a time and joins the parts by CRT, and the two agree.
 """
 

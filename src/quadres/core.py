@@ -79,8 +79,6 @@ def jacobi(a: int, n: int) -> int:
     if n % 2 == 0:
         raise EvenModulus(f"modulus {n} must be odd and nonzero")
     n = abs(n)
-    if n == 1:
-        return 1
     a %= n
     result = 1
     while a != 0:
@@ -135,10 +133,7 @@ class Factorization(namedtuple("Factorization", "sign factors")):
     __slots__ = ()
 
     def value(self) -> int:
-        out = self.sign
-        for p, e in self.factors:
-            out *= p**e
-        return out
+        return math.prod((p**e for p, e in self.factors), start=self.sign)
 
 
 def _odd_primes_below(limit: int) -> tuple[int, ...]:

@@ -78,12 +78,10 @@ def cz2_solution(
     if math.gcd(triple.r, d3) != 1:
         raise BadParameters(f"gcd(r={triple.r}, d3={d3}) != 1")
     s, t = triple.s, triple.t
-    if g == 0:
-        x = d3 * (t * u - s * v)
-        y = d3 * (s * u + t * v)
-    else:
-        x = d3 * ((s + t) * u - (s - t) * v)
-        y = d3 * ((s - t) * u + (s + t) * v)
+    if g:  # t + s*i times 1 - i
+        s, t = s - t, s + t
+    x = d3 * (t * u - s * v)
+    y = d3 * (s * u + t * v)
     return CZ2Solution(x, y, triple.r, c, d3, g, u, v)
 
 

@@ -185,10 +185,7 @@ class GaussianFactorization(namedtuple("GaussianFactorization", "unit factors"))
     __slots__ = ()
 
     def value(self) -> GaussianInt:
-        out = self.unit
-        for prime, e in self.factors:
-            out = out * prime**e
-        return out
+        return math.prod((prime**e for prime, e in self.factors), start=self.unit)
 
 
 def factor(xi: GaussianInt) -> GaussianFactorization:
@@ -237,20 +234,12 @@ def parse_gaussian(text: str) -> GaussianInt:
     try:
         if not s.endswith("i"):
             return GaussianInt(int(s), 0)
-        body = s[:-1]
-        split = 0
-        for pos in range(len(body) - 1, 0, -1):
-            if body[pos] in "+-":
-                split = pos
-                break
-        re_part, im_part = body[:split], body[split:]
-        if im_part in ("", "+"):
-            im = 1
-        elif im_part == "-":
-            im = -1
-        else:
-            im = int(im_part)
-        return GaussianInt(int(re_part) if re_part else 0, im)
+        # the imaginary part starts at the last sign after the first character
+        split = max(s.rfind("+", 1, -1), s.rfind("-", 1, -1), 0)
+        re_part, im_part = s[:split], s[split:-1]
+        if im_part in ("", "+", "-"):
+            im_part += "1"
+        return GaussianInt(int(re_part) if re_part else 0, int(im_part))
     except ValueError:
         raise ValueError(f"invalid Gaussian integer literal: {text!r}") from None
 

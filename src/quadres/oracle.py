@@ -9,21 +9,20 @@ against reciprocity, which computes `symbols.legendre_euler` and
 `core.jacobi`; r(n) by divisor sums against the exponent formula; the
 paper's pigeonhole construction against the Euclidean descent in
 `two_squares.rep_from_root`; and the paper's completing-square solver, which
-works modulo 4|a|n and maps roots back through linear congruences, against
-the prime-power route of `congruences.solve_quadratic`. Every scan that
-grows with n, p or |a| is capped by `SCAN_BUDGET`, so a typo cannot hang
-the process.
+scans for the roots modulo 4|a|n and maps each back by one exact division,
+against the prime-power route of `congruences.solve_quadratic`. Every scan
+that grows with n, p or |a| is capped by `SCAN_BUDGET`, so a typo cannot
+hang the process.
 """
 
 from __future__ import annotations
 
 import math
 
-from .congruences import QuadCongruence, solve_linear
+from .congruences import QuadCongruence
 from .core import ResidueSet, factorize
 from .errors import BadParameters, BudgetExceeded, EvenModulus, NotARoot, NotCoprime
 from .errors import check_nonnegative, check_positive
-from .sqrtmod import _quadratic_roots
 from .symbols import _check_odd_prime
 from .two_squares import TwoSquareRep
 
@@ -72,21 +71,16 @@ def brute_quadratic(a: int, b: int, c: int, n: int) -> ResidueSet:
 def completing_square_quadratic(q: QuadCongruence) -> ResidueSet:
     """Solution set of a*X^2 + b*X + c = 0 (mod n) for any gcd(2a, n).
 
-    Completing the square gives (2aX + b)^2 = b^2 - 4ac (mod 4|a|n); each
-    root t with 2|a| dividing t - b yields the solutions of the linear
-    congruence 2aX = t - b (mod 4|a|n), reduced mod n. The work grows with
-    |a|, which the budget caps.
+    Completing the square gives (2aX + b)^2 = b^2 - 4ac (mod 4|a|n). The
+    roots t come from `brute_sqrt_mod`'s scan mod 4|a|n, so 4|a|n above
+    `SCAN_BUDGET` is refused. Each root t with 2a dividing t - b maps back
+    by one exact division: 2aX = t - b (mod 4|a|n) holds exactly when
+    X = (t - b)/(2a) (mod 2n).
     """
     a, b, n = q.a, q.b, q.n
-    _check_budget(abs(a))
-    m = 4 * abs(a) * n
-    two_a = 2 * abs(a)
-    solutions = set()
-    for t in _quadratic_roots(1, 0, -q.discriminant, m).residues:
-        if (t - b) % two_a != 0:
-            continue
-        for x in solve_linear(2 * a, t - b, m).residues:
-            solutions.add(x % n)
+    two_a = 2 * a
+    roots = brute_sqrt_mod(q.discriminant, 4 * abs(a) * n)
+    solutions = {(t - b) // two_a % n for t in roots if (t - b) % two_a == 0}
     return ResidueSet(n, tuple(sorted(solutions)))
 
 

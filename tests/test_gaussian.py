@@ -445,12 +445,17 @@ def test_parse_and_format():
         "+8+1i": Z(8, 1),
         " 3+4i ": Z(3, 4),
         "3 + 4i": Z(3, 4),
+        "+i": Z(0, 1),
+        "3+i": Z(3, 1),
+        "+3-i": Z(3, -1),
+        "-3-4i": Z(-3, -4),
     }
     for text, value in cases.items():
         assert parse_gaussian(text) == value
     for g in _disk(100):
         assert parse_gaussian(format_gaussian(g)) == g
     # whitespace between two digits is refused, not deleted
-    for bad in ("", "2+", "ii", "3 + x", "1.5i", "1 2", "1 2i", "3+4 5i"):
+    for bad in ("", "2+", "ii", "3 + x", "1.5i", "1 2", "1 2i", "3+4 5i", "+", "-", "--1",
+                "3+-4i", "1e+5i", "i3"):
         with pytest.raises(ValueError):
             parse_gaussian(bad)

@@ -3,8 +3,9 @@ every exported name resolves, every error type is raised somewhere, refusals
 are typed, the cached functions keep their caches, the value classes have one
 construction route and take their equality, hash, repr, pickling and
 immutability from the one base `core._Value`, the Legendre symbol has one
-production route, a cold import loads neither `dataclasses` nor `typing`,
-and one function of the CLI defines how its results print."""
+production route, the completing-square oracle shares no code with the
+quadratic solver it checks, a cold import loads neither `dataclasses` nor
+`typing`, and one function of the CLI defines how its results print."""
 
 import ast
 import os
@@ -139,6 +140,17 @@ def test_one_production_legendre_route():
     assert not any(
         name.endswith(".legendre_euler") for name in _imported_modules(tree("sqrtmod.py"))
     )
+
+
+def test_completing_square_oracle_shares_no_code_with_the_solver():
+    # the reference for solve_quadratic finds its roots by its own scan, not
+    # with the root finder in sqrtmod that solve_quadratic itself calls
+    imported = sorted(
+        name
+        for name in _imported_modules(ast.parse((SRC / "oracle.py").read_text()))
+        if name.startswith(("quadres.sqrtmod", "quadres.congruences"))
+    )
+    assert imported == ["quadres.congruences", "quadres.congruences.QuadCongruence"]
 
 
 def test_jacobi_is_one_function_re_exported():

@@ -45,6 +45,19 @@ def test_brute_legendre():
         brute_legendre(2, 9)
 
 
+def test_completing_square_matches_brute_force():
+    # includes gcd(2a, n) > 1 and negative a, where a root t mod 4|a|n maps
+    # back to X only when 2a divides t - b
+    for n in range(1, 41):
+        for a in range(-6, 7):
+            if a % n == 0:
+                continue
+            for b in range(-3, 4):
+                for c in range(-3, 4):
+                    got = completing_square_quadratic(QuadCongruence(a, b, c, n))
+                    assert got == brute_quadratic(a, b, c, n), (a, b, c, n)
+
+
 def test_rep_from_root_matches_pigeonhole():
     for n in range(2, 2001):
         if not has_primitive_representation(n):
@@ -68,3 +81,9 @@ def test_budget():
         legendre_gauss_lemma(2, 1000003)
     with pytest.raises(BudgetExceeded):
         completing_square_quadratic(QuadCongruence(SCAN_BUDGET + 1, 1, 0, 7))
+    # the scan runs mod 4|a|n: 4 * 250_001 is just over the budget
+    assert 4 * 250_000 == SCAN_BUDGET
+    at_budget = completing_square_quadratic(QuadCongruence(1, 0, -1, 250_000))
+    assert at_budget == brute_quadratic(1, 0, -1, 250_000)
+    with pytest.raises(BudgetExceeded):
+        completing_square_quadratic(QuadCongruence(1, 0, -1, 250_001))
