@@ -7,8 +7,6 @@ result per line; --json wraps each invocation in a deterministic envelope
 is still ok), 1 domain error, 2 usage error.
 """
 
-from __future__ import annotations
-
 import argparse
 import functools
 import json

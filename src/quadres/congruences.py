@@ -5,8 +5,6 @@ prime power, through the root finder in `sqrtmod`, joined by CRT. Its cost
 follows the factorization of n and the number of roots, not the size of a.
 """
 
-from __future__ import annotations
-
 import math
 
 from .core import ResidueSet, _Value

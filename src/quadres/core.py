@@ -5,8 +5,6 @@ All functions are pure and operate on Python's unbounded integers, so every
 result is exact; there is no overflow to detect.
 """
 
-from __future__ import annotations
-
 import itertools
 import math
 from bisect import bisect_left

@@ -3,8 +3,6 @@ X^2 + Y^2 + Z^2 = W^2, plus the alternating binomial polynomials governing
 the real and imaginary parts of odd powers of a + ib.
 """
 
-from __future__ import annotations
-
 import math
 from collections import namedtuple
 

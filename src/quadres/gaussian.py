@@ -5,8 +5,6 @@ Euclidean gcd, the classification of Gaussian primes and unique
 factorization into a unit times canonical prime powers.
 """
 
-from __future__ import annotations
-
 import math
 from collections import namedtuple
 

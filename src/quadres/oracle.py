@@ -15,8 +15,6 @@ that grows with n, p or |a| is capped by `SCAN_BUDGET`, so a typo cannot
 hang the process.
 """
 
-from __future__ import annotations
-
 import math
 
 from .congruences import QuadCongruence
@@ -96,7 +94,7 @@ def brute_two_squares(n: int) -> list[TwoSquareRep]:
         if b * b == rem:
             for bb in {b, -b}:
                 reps.append(TwoSquareRep(a, bb, math.gcd(a, bb) == 1))
-    reps.sort(key=lambda rep: (rep.a, rep.b))
+    reps.sort()
     return reps
 
 
@@ -178,9 +176,6 @@ def jacobi_by_definition(a: int, n: int) -> int:
     """
     if n % 2 == 0:
         raise EvenModulus(f"modulus {n} must be odd and nonzero")
-    n = abs(n)
-    if n == 1:
-        return 1
     result = 1
     for p, e in factorize(n).factors:
         s = legendre_euler_criterion(a, p)

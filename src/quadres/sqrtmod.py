@@ -25,8 +25,6 @@ ladder for 2, 4 and 2^e (X = 1 + 2Y turns X^2 = u into Y^2 + Y + (1 - u)/4,
 whose derivative is odd).
 """
 
-from __future__ import annotations
-
 import math
 
 from .core import ResidueSet, _odd_part, crt_combine, factorize, jacobi
@@ -141,9 +139,7 @@ def is_quadratic_residue(a: int, n: int) -> bool:
         raise NotCoprime(f"gcd({a}, {n}) != 1")
     for p, e in factorize(n).factors:
         if p == 2:
-            if e == 2 and a % 4 != 1:
-                return False
-            if e >= 3 and a % 8 != 1:
+            if a % (1 << min(e, 3)) != 1:
                 return False
         elif jacobi(a, p) != 1:
             return False

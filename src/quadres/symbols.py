@@ -8,14 +8,12 @@ other routes, Euler's criterion, Gauss's lemma and the Jacobi symbol by
 definition, are test references in `oracle`.
 """
 
-from __future__ import annotations
-
 from .core import is_prime, jacobi  # jacobi is re-exported from here
 from .errors import NotOddPrime
 
 
 def _check_odd_prime(p: int) -> None:
-    if p < 3 or p % 2 == 0 or not is_prime(p):
+    if p < 3 or not is_prime(p):
         raise NotOddPrime(f"{p} is not an odd prime")
 
 

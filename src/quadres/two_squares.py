@@ -10,8 +10,6 @@ pairs; both, like `gaussian.factor`, read n's primes as ramified, inert or
 split from `_split_factorization`.
 """
 
-from __future__ import annotations
-
 import math
 from collections import namedtuple
 from functools import lru_cache

@@ -313,6 +313,19 @@ def test_gcd_of_an_associate_takes_one_step(monkeypatch):
     assert len(calls) <= 2
 
 
+def test_gcd_of_a_multiple_takes_at_most_two_steps(monkeypatch):
+    # g = N(alpha) and g^2 is not below N(alpha), so Euclid runs on the two
+    # operands, in either order; the route through g would first run Euclid
+    # on (alpha, g), a long run on operands of norm g^2
+    rng = random.Random(17)
+    alpha, kappa = _random_gaussian(rng, 150), _random_gaussian(rng, 150)
+    calls = _counting_div_rem(monkeypatch)
+    for pair in ((alpha * kappa, alpha), (alpha, alpha * kappa)):
+        calls.clear()
+        assert gcd(*pair) == canonical_associate(alpha)
+        assert len(calls) <= 2
+
+
 def test_gcd_with_a_small_shared_factor_runs_on_small_operands(monkeypatch):
     # the plain Euclid run on these 300-digit operands takes over 500 steps;
     # through g, the gcd of the norms, every division is by an element of

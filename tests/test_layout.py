@@ -5,11 +5,13 @@ construction route and take their equality, hash, repr, pickling and
 immutability from the one base `core._Value`, the Legendre symbol has one
 production route, the completing-square oracle shares no code with the
 quadratic solver it checks, a cold import loads neither `dataclasses` nor
-`typing`, and one function of the CLI defines how its results print."""
+`typing`, annotations are evaluated at import under the declared Python floor,
+and one function of the CLI defines how its results print."""
 
 import ast
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -78,6 +80,21 @@ def test_no_dataclasses_or_typing_import():
         if name.split(".")[0] in ("dataclasses", "typing")
     )
     assert heavy == []
+
+
+def test_annotations_are_evaluated_at_import():
+    # one annotation rule for every module: no postponed evaluation, which
+    # leaves eager `X | None` annotations needing Python 3.10
+    postponed = sorted(
+        path.name
+        for path in SRC.glob("*.py")
+        for name in _imported_modules(ast.parse(path.read_text()))
+        if name == "__future__"
+    )
+    assert postponed == []
+    pyproject = (SRC.parent.parent / "pyproject.toml").read_text()
+    floor = re.search(r'^requires-python = ">=(\d+)\.(\d+)"$', pyproject, re.MULTILINE)
+    assert tuple(map(int, floor.groups())) >= (3, 10)
 
 
 def test_no_object_setattr():

@@ -42,7 +42,7 @@ def test_legendre_gauss_lemma_examples():
 
 def test_legendre_rejects_bad_modulus():
     for fn in (legendre_euler, legendre_euler_criterion, legendre_gauss_lemma):
-        for p in (2, 9, 15, 1, -7):
+        for p in (2, 9, 15, 1, -7, 4, 2 * (10**30 + 57)):
             with pytest.raises(NotOddPrime):
                 fn(2, p)
     with pytest.raises(NotCoprime):
@@ -55,6 +55,7 @@ def test_jacobi_examples():
     for a in (-3, 0, 1, 17):
         assert jacobi(a, 1) == 1
         assert jacobi_by_definition(a, 1) == 1
+        assert jacobi_by_definition(a, -1) == 1
 
 
 def test_jacobi_by_definition_examples():
