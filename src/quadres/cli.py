@@ -274,11 +274,6 @@ def build_parser() -> argparse.ArgumentParser:
 _ENCODER = json.JSONEncoder(sort_keys=True)
 
 
-def _inputs(args) -> dict:
-    skip = {"command", "json"}
-    return {k: v for k, v in sorted(vars(args).items()) if k not in skip}
-
-
 def _parse(argv):
     """`build_parser().parse_args(argv)`, but an argv naming a subcommand goes
     straight to that subcommand's parser; extra arguments get the top-level
@@ -320,15 +315,15 @@ def main(argv=None) -> int:
     if args.json:
         envelope = {
             "command": args.command,
-            "inputs": _inputs(args),
+            "inputs": {k: v for k, v in vars(args).items() if k not in ("command", "json")},
             "result": payload,
             "status": status,
             "error": error,
         }
         print(_ENCODER.encode(envelope))
     else:
-        for line in lines:
-            print(line)
+        if lines:
+            print("\n".join(lines))
         if error is not None:
             print(f"error: {error}", file=sys.stderr)
     return code

@@ -150,9 +150,9 @@ def gcd(alpha: GaussianInt, beta: GaussianInt) -> GaussianInt:
     g = gcd(N(alpha), N(beta)), so gcd(alpha, beta) = gcd(gcd(alpha, g), beta)
     (Cohen, A Course in Computational Algebraic Number Theory, 1.3). Coprime
     norms (g = 1) need no Euclid step. When g^2 is below both norms, Euclid
-    runs on (alpha, g), then on (beta, gcd(alpha, g)), so every division is
-    by an element of norm at most g^2. Otherwise, as for an associate or a
-    multiple of the other operand, it runs on (alpha, beta) directly.
+    runs on (alpha mod g, g), then on (beta mod g, gcd(alpha, g)), so no
+    division touches a full-size operand. Otherwise, as for an associate or
+    a multiple of the other operand, it runs on (alpha, beta) directly.
     """
     a, b, c, d = alpha.re, alpha.im, beta.re, beta.im
     n1, n2 = a * a + b * b, c * c + d * d
@@ -162,7 +162,8 @@ def gcd(alpha: GaussianInt, beta: GaussianInt) -> GaussianInt:
     if g == 1:
         return ONE
     if g * g < n1 and g * g < n2:
-        a, b, c, d = c, d, *_euclid_ints(a, b, g, 0)
+        # x mod g differs from x by g times a Gaussian integer, and gcd(alpha, g) divides g
+        a, b, c, d = c % g, d % g, *_euclid_ints(a % g, b % g, g, 0)
     return GaussianInt(*_canonical_ints(*_euclid_ints(a, b, c, d)))
 
 

@@ -169,4 +169,4 @@ def primitive_representations(n: int) -> list[TwoSquareRep]:
         values = _times(values, ((x, y), (x, -y)))
     # one of the four associates of each value lies in the open first quadrant
     pairs = sorted((x, y) for x, y in _unit_multiples(values) if x > 0 and y > 0)
-    return [TwoSquareRep(a, b, math.gcd(a, b) == 1) for a, b in pairs]
+    return [TwoSquareRep(a, b, True) for a, b in pairs]

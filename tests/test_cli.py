@@ -1,4 +1,5 @@
 import hashlib
+import io
 import json
 import os
 import pathlib
@@ -147,6 +148,22 @@ def test_triples(capsys):
     assert code == 0 and out == "4 3 5\n"
     code, out, _ = run(capsys, "triples", "--max", "13")
     assert code == 0 and out.splitlines() == ["4 3 5", "12 5 13"]
+
+
+def test_plain_output_is_one_write(monkeypatch):
+    # the plain lines go out in one print: its text, then its newline
+    class CountingOut(io.StringIO):
+        writes = 0
+
+        def write(self, text):
+            self.writes += 1
+            return super().write(text)
+
+    out = CountingOut()
+    monkeypatch.setattr(sys, "stdout", out)
+    assert main(["triples", "--max", "50"]) == 0
+    assert len(out.getvalue().splitlines()) == 7
+    assert out.writes <= 2
 
 
 def test_cz2_zl_quadruples(capsys):

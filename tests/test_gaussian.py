@@ -279,6 +279,21 @@ def test_gcd_matches_sympy_on_unrelated_operands(a, b, c, d):
     assert (g.re, g.im) == (int(expected.x), int(expected.y))
 
 
+@settings(deadline=None)  # the first example imports SymPy
+@given(_by_digits(1, 20), _by_digits(1, 20), _by_digits(1, 60), _by_digits(1, 60),
+       _by_digits(1, 60), _by_digits(1, 60))
+def test_gcd_matches_sympy_on_operands_sharing_a_factor(g1, g2, a, b, c, d):
+    # both operands times gamma, so g = gcd of the norms is at least N(gamma)
+    # and the route through the operands reduced mod g runs whenever g^2 is
+    # below both norms
+    zzi = pytest.importorskip("sympy.polys.domains").ZZ_I
+    gamma = Z(g1, g2)
+    alpha, beta = gamma * Z(a, b), gamma * Z(c, d)
+    expected = zzi.gcd(zzi(alpha.re, alpha.im), zzi(beta.re, beta.im))
+    g = gcd(alpha, beta)
+    assert (g.re, g.im) == (int(expected.x), int(expected.y))
+
+
 def _counting_div_rem(monkeypatch):
     calls = []
     div_rem_ints = gaussian._div_rem_ints
@@ -328,8 +343,8 @@ def test_gcd_of_a_multiple_takes_at_most_two_steps(monkeypatch):
 
 def test_gcd_with_a_small_shared_factor_runs_on_small_operands(monkeypatch):
     # the plain Euclid run on these 300-digit operands takes over 500 steps;
-    # through g, the gcd of the norms, every division is by an element of
-    # norm at most g^2
+    # through g, the gcd of the norms, every divisor has norm at most g^2
+    # and every dividend norm below 2g^2
     rng = random.Random(16)
     gamma = Z(389, 112)
     alpha, beta = gamma * _random_gaussian(rng, 297), gamma * _random_gaussian(rng, 297)
@@ -339,6 +354,8 @@ def test_gcd_with_a_small_shared_factor_runs_on_small_operands(monkeypatch):
     assert len(calls) < 50
     g2 = math.gcd(norm(alpha), norm(beta)) ** 2
     assert all(c * c + d * d <= g2 for _, _, c, d in calls)
+    # each dividend is reduced mod g, or is an earlier divisor
+    assert all(a * a + b * b < 2 * g2 for a, b, _, _ in calls)
 
 
 def test_is_gaussian_prime_examples():

@@ -6,7 +6,8 @@ immutability from the one base `core._Value`, the Legendre symbol has one
 production route, the completing-square oracle shares no code with the
 quadratic solver it checks, a cold import loads neither `dataclasses` nor
 `typing`, annotations are evaluated at import under the declared Python floor,
-and one function of the CLI defines how its results print."""
+one function of the CLI defines how its results print, and no source line is
+over 96 columns."""
 
 import ast
 import os
@@ -244,3 +245,13 @@ def test_cli_output_format_is_defined_once():
 
     line_makers = sorted(getattr(f, "name", "<lambda>") for f in functions if makes_lines(f))
     assert line_makers == ["_cmd_verify", "_render"]
+
+
+def test_no_source_line_over_96_columns():
+    long_lines = sorted(
+        (path.name, number, len(line))
+        for path in SRC.glob("*.py")
+        for number, line in enumerate(path.read_text().splitlines(), 1)
+        if len(line) > 96
+    )
+    assert long_lines == []

@@ -208,6 +208,8 @@ def test_primitive_representations_count_is_power_of_two():
             assert math.gcd(rep.a, rep.b) == 1
             assert rep.a > 0 and rep.b > 0
             assert rep.a**2 + rep.b**2 == n
+        # the scan computes each flag from gcd(a, b); the fast path sets it
+        assert reps == [r for r in brute_two_squares(n) if r.primitive and r.a > 0 and r.b > 0]
         if has_primitive_representation(n):
             big = sum(1 for p, _ in factorize(n).factors if p % 4 == 1)
             assert len(reps) == 2**big, n
